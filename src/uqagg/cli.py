@@ -53,10 +53,6 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uqagg",
@@ -296,8 +292,8 @@ def _cmd_gmm_fit(args) -> int:
     meta.save_model(model, args.out)
     print(
         f"fitted {spec.variant} ({len(spec.strategies)} features) on "
-        f"{model.n_train} samples: K={model.k} bic={_fmt(model.bic)} "
-        f"loglik={_fmt(model.loglik)}"
+        f"{model.n_train} samples: K={model.k} bic={io._fmt_float(model.bic)} "
+        f"loglik={io._fmt_float(model.loglik)}"
     )
     return 0
 
@@ -384,15 +380,16 @@ def _cmd_eval(args) -> int:
         writer.writerow(["strategy", "dataset", "metric", "mean", "std"])
         for name in names:
             samples = table[name]
-            writer.writerow(
-                [name, dataset, metric, _fmt(samples.mean()), _fmt(samples.std())]
-            )
+            writer.writerow([
+                name, dataset, metric,
+                io._fmt_float(samples.mean()), io._fmt_float(samples.std()),
+            ])
     with open(f"{args.out_prefix}.samples.csv", "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for i in range(args.bootstrap):
-            writer.writerow([_fmt(table[name][i]) for name in names])
+            writer.writerow([io._fmt_float(table[name][i]) for name in names])
     print(
         f"evaluated {metric} for {len(names)} strategies on {len(records)} samples "
         f"({args.bootstrap} bootstrap resamples)",
@@ -426,10 +423,19 @@ def _read_samples_csv(path) -> dict[str, np.ndarray]:
 
 def _cmd_rank(args) -> int:
     direction = "higher" if args.metric == "auroc" else "lower"
-    tables = {}
-    pooled: dict[str, list[np.ndarray]] = {}
+    datasets: dict[str, str] = {}
     for path in args.inputs:
         dataset = os.path.splitext(os.path.basename(path))[0]
+        if dataset in datasets:
+            raise _CliFailure(
+                _EXIT_DATA,
+                f"{datasets[dataset]} and {path} share the dataset name "
+                f"{dataset!r}; rename one of them",
+            )
+        datasets[dataset] = path
+    tables = {}
+    pooled: dict[str, list[np.ndarray]] = {}
+    for dataset, path in datasets.items():
         samples = _read_samples_csv(path)
         tables[dataset] = {name: float(v.mean()) for name, v in samples.items()}
         for name, v in samples.items():
@@ -443,13 +449,13 @@ def _cmd_rank(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "mean_rank"])
         for name in sorted(ranks, key=lambda n: (ranks[n], n)):
-            writer.writerow([name, _fmt(ranks[name])])
+            writer.writerow([name, io._fmt_float(ranks[name])])
     with open(f"{args.out_prefix}.pvalues.csv", "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", *names])
         for i, name in enumerate(names):
-            writer.writerow([name, *(_fmt(p) for p in pvals[i])])
+            writer.writerow([name, *(io._fmt_float(p) for p in pvals[i])])
 
     for i, a in enumerate(names):
         for j, b in enumerate(names):

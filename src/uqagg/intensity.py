@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import as_mask, validate_map
 from .errors import (
@@ -42,15 +41,28 @@ def avg(u) -> float:
 
 
 def plm(u, patch: int) -> float:
-    """Largest mean over all patch x patch windows fully inside the map."""
+    """Largest mean over all patch x patch windows fully inside the map.
+
+    Window sums come from two 1-D running sums (a column pass, then a row
+    pass), so the cost is O(m * n) for any patch. Its running sums stay far
+    smaller than those of one 2-D summed-area table, so cancellation costs
+    less. A difference of running sums can still land a rounding step above
+    the true window sum, so the result is capped at the map maximum, which no
+    window mean exceeds.
+    """
     vals = validate_map(u).values
     if not isinstance(patch, (int, np.integer)) or patch < 1:
         raise InvalidParam(f"patch must be a positive integer, got {patch!r}")
     m, n = vals.shape
     if patch > min(m, n):
         raise PatchTooLarge(f"patch {patch} exceeds map extent {m}x{n}")
-    windows = sliding_window_view(vals, (patch, patch))
-    return float(windows.mean(axis=(-2, -1)).max())
+    csum = np.cumsum(vals, axis=0)
+    cols = csum[patch - 1 :].copy()  # sums over `patch` consecutive rows
+    cols[1:] -= csum[:-patch]
+    csum = np.cumsum(cols, axis=1)
+    boxes = csum[:, patch - 1 :].copy()  # ... and over `patch` columns
+    boxes[:, 1:] -= csum[:, :-patch]
+    return float(min(boxes.max() / (patch * patch), vals.max()))
 
 
 def ata(u, threshold: float) -> float:
@@ -131,17 +143,17 @@ def wca(u, mask, weights: Mapping[int, float]) -> float:
 
 def bca(u, mask) -> float:
     """Mean of the per-class averages with equal class weights."""
-    stats = class_averages(u, mask)
-    k = len(stats.per_class)
-    return wca(u, mask, {c: 1.0 / k for c in stats.per_class})
+    per_class = class_averages(u, mask).per_class
+    weight = 1.0 / len(per_class)
+    return float(math.fsum(weight * stat.alpha for stat in per_class.values()))
 
 
 def ica(u, mask) -> float:
     """Area-proportional combination of the per-class averages."""
-    stats = class_averages(u, mask)
-    total_area = sum(stat.area for stat in stats.per_class.values())
-    return wca(
-        u, mask, {c: stat.area / total_area for c, stat in stats.per_class.items()}
+    per_class = class_averages(u, mask).per_class
+    total_area = sum(stat.area for stat in per_class.values())
+    return float(
+        math.fsum((stat.area / total_area) * stat.alpha for stat in per_class.values())
     )
 
 

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import UncertaintyMap, validate_map
 from .errors import InvalidParam, ShapeMismatch
@@ -67,19 +66,51 @@ class WeightMap:
         return self.weights.shape
 
 
-def _windows9(padded: np.ndarray) -> np.ndarray:
-    m, n = padded.shape
-    return sliding_window_view(padded, (3, 3)).reshape(m - 2, n - 2, 9)
+# Window bin shares are c / 9 for a count c in 0..9, so p * ln(p) takes one of
+# ten values; looking them up spares a logarithm per pixel and bin.
+_SHARES = np.arange(10) / 9.0
+with np.errstate(divide="ignore", invalid="ignore"):
+    _PLOGP = np.where(_SHARES > 0.0, _SHARES * np.log(_SHARES), 0.0)
+
+
+def _views9(padded: np.ndarray) -> list[np.ndarray]:
+    """The nine cells of every pixel's 3x3 window, as shifted views of the
+    padded map, in the row-major cell order of ``_PAIRS``."""
+    m, n = padded.shape[0] - 2, padded.shape[1] - 2
+    return [padded[a : a + m, b : b + n] for a in range(3) for b in range(3)]
+
+
+def _box3_count(flags: np.ndarray) -> np.ndarray:
+    """3x3 window counts of a padded boolean array, as two 1-D passes."""
+    f = flags.view(np.uint8)
+    rows = f[:, :-2] + f[:, 1:-1]
+    rows += f[:, 2:]
+    counts = rows[:-2] + rows[1:-1]
+    counts += rows[2:]
+    return counts
 
 
 def _moran_weights(vals: np.ndarray) -> np.ndarray:
-    w = _windows9(np.pad(vals, 1, mode="edge"))
-    z = w - w.mean(axis=-1, keepdims=True)
-    denom = (z * z).sum(axis=-1)
-    num = 2.0 * (z[..., _PAIRS[:, 0]] * z[..., _PAIRS[:, 1]]).sum(axis=-1)
+    cells = _views9(np.pad(vals, 1, mode="edge"))
+    mean = cells[0].copy()
+    for cell in cells[1:]:
+        mean += cell
+    mean /= 9.0
+    z = [cell - mean for cell in cells]
+    tmp = np.empty_like(mean)
+    denom = np.zeros_like(mean)
+    for zk in z:
+        denom += np.multiply(zk, zk, out=tmp)
+    num = np.zeros_like(mean)
+    for a, b in _PAIRS:
+        num += np.multiply(z[a], z[b], out=tmp)
+    num *= 2.0
     # Exactly constant windows get weight 1 by convention; the equality test
     # avoids trusting a float variance near zero.
-    constant = (w == w[..., :1]).all(axis=-1)
+    constant = np.ones(mean.shape, dtype=bool)
+    same = np.empty_like(constant)
+    for cell in cells[1:]:
+        constant &= np.equal(cell, cells[0], out=same)
     safe = np.where(denom > 0.0, denom, 1.0)
     moran = (9.0 / _S0) * num / safe
     moran = np.where(constant | (denom <= 0.0), 1.0, moran)
@@ -87,16 +118,13 @@ def _moran_weights(vals: np.ndarray) -> np.ndarray:
 
 
 def _sobel_magnitude(padded: np.ndarray) -> np.ndarray:
-    # 3x3 Sobel scaled by 1/4 so a unit step yields gradient magnitude 1.
+    # 3x3 Sobel scaled by 1/4 so a unit step yields gradient magnitude 1,
+    # as a [1, 2, 1] smoothing pass followed by a difference across it.
     p = padded
-    gx = (
-        (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
-    ) / 4.0
-    gy = (
-        (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:])
-        - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
-    ) / 4.0
+    down = p[:-2] + 2.0 * p[1:-1] + p[2:]
+    gx = (down[:, 2:] - down[:, :-2]) / 4.0
+    across = p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]
+    gy = (across[2:] - across[:-2]) / 4.0
     return np.hypot(gx, gy)
 
 
@@ -105,21 +133,18 @@ def _eds_weights(vals: np.ndarray, tau: float) -> np.ndarray:
         raise InvalidParam(f"edge threshold must lie in (0, 1), got {tau!r}")
     # Two replicate rings: the outer one feeds the Sobel pass so gradients
     # exist on the ring the window sweep sees.
-    grad = _sobel_magnitude(np.pad(vals, 2, mode="edge"))
-    edges = (grad > tau).astype(np.float64)
-    return _windows9(edges).mean(axis=-1)
+    padded = np.pad(vals, 2, mode="edge")
+    return _box3_count(_sobel_magnitude(padded) > tau) / 9.0
 
 
 def _entropy_weights(vals: np.ndarray, bins: int) -> np.ndarray:
     if not isinstance(bins, (int, np.integer)) or bins < 2:
         raise InvalidParam(f"bin count must be an integer >= 2, got {bins!r}")
-    w = _windows9(np.pad(vals, 1, mode="edge"))
+    padded = np.pad(vals, 1, mode="edge")
     # Equal-width bins on [0, 1], half-open except the last one.
-    idx = np.minimum((w * bins).astype(np.int64), bins - 1)
-    probs = np.stack([(idx == b).mean(axis=-1) for b in range(bins)], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    ent = -terms.sum(axis=-1) / np.log(bins)
+    idx = np.minimum((padded * bins).astype(np.int64), bins - 1)
+    counts = np.stack([_box3_count(idx == b) for b in range(bins)], axis=-1)
+    ent = -_PLOGP[counts].sum(axis=-1) / np.log(bins)
     return np.clip(ent, 0.0, 1.0)
 
 

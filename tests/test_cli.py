@@ -167,6 +167,22 @@ def test_gmm_fit_score_eval_rank(bench_dir, scores_csv, tmp_path):
     assert len(pvals) == 12 and len(pvals[0]) == 12
 
 
+def test_rank_rejects_inputs_sharing_a_dataset_name(tmp_path):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "x.samples.csv"
+        path.write_text("avg,mor\n0.5,0.75\n0.25,0.5\n", encoding="utf-8")
+        paths.append(str(path))
+    res = run_cli(
+        "rank", "--inputs", *paths, "--metric", "auroc",
+        "--out-prefix", str(tmp_path / "rk"),
+    )
+    assert res.returncode == 4
+    assert paths[0] in res.stderr and paths[1] in res.stderr
+    assert not (tmp_path / "rk.ranks.csv").exists()
+
+
 def test_eval_deterministic(bench_dir, scores_csv, tmp_path):
     for tag in ("x", "y"):
         res = run_cli(

@@ -43,6 +43,16 @@ def _plm_oracle(vals, p):
     return best
 
 
+def _plm_direct(vals, p):
+    # every window sum taken from its own p * p values, one shifted slice each
+    m, n = vals.shape
+    sums = np.zeros((m - p + 1, n - p + 1))
+    for a in range(p):
+        for b in range(p):
+            sums += vals[a : a + m - p + 1, b : b + n - p + 1]
+    return float((sums / (p * p)).max())
+
+
 def _topk_mean_oracle(vals, k):
     return float(np.sort(vals.ravel())[::-1][:k].mean())
 
@@ -100,6 +110,27 @@ def test_plm_matches_bruteforce():
         u = _rand_map(rng, (int(m), int(n)))
         p = int(rng.integers(1, min(m, n) + 1))
         assert plm(u, p) == pytest.approx(_plm_oracle(u.values, p), abs=1e-12)
+
+
+def test_plm_large_map_matches_direct_window_sums():
+    # running sums over 1024 rows and columns of values near 1 are where
+    # cancellation would show; the separable sums must stay within 1e-12
+    rng = np.random.default_rng(2024)
+    u = validate_map(rng.uniform(0.9, 1.0, size=(1024, 1024)))
+    for p in (1, 2, 3, 10):
+        assert plm(u, p) == pytest.approx(_plm_direct(u.values, p), abs=1e-12)
+
+
+def test_plm_saturated_block_stays_at_one():
+    # blocks of exact 1.0 on a non-dyadic background: differences of running
+    # sums may round past P * P, yet the score must read exactly 1.0
+    rng = np.random.default_rng(0)
+    vals = rng.uniform(0.05, 0.3, size=(512, 512))
+    vals[300:320, 100:120] = 1.0
+    vals[200:220, 200:220] = 1.0
+    u = validate_map(vals)
+    for p in (1, 10):
+        assert plm(u, p) == 1.0
 
 
 def test_plm_rejects_bad_patch():

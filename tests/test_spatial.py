@@ -151,6 +151,56 @@ def test_entropy_matches_bruteforce():
         np.testing.assert_allclose(got, _entropy_oracle(vals, bins), atol=1e-12)
 
 
+def _blocky_map():
+    # 40x64: a 4x4 grid of constant 10x16 blocks on a few levels, with one
+    # noisy patch across four of them
+    rng = np.random.default_rng(77)
+    levels = rng.choice([0.0, 0.1, 0.2, 0.35, 0.4, 0.7, 0.9, 1.0], size=(4, 4))
+    vals = np.kron(levels, np.ones((10, 16)))
+    vals[14:27, 20:45] = rng.random((13, 25))
+    return vals
+
+
+def _constant_windows(vals, reach):
+    # pixels whose (2 * reach + 1)^2 edge-replicated neighbourhood is constant
+    p = _pad_replicate(vals, reach)
+    m, n = vals.shape
+    side = 2 * reach + 1
+    out = np.zeros((m, n), dtype=bool)
+    for i in range(m):
+        for j in range(n):
+            win = p[i : i + side, j : j + side]
+            out[i, j] = bool((win == win[0, 0]).all())
+    return out
+
+
+def test_blocky_non_square_map_matches_oracles():
+    vals = _blocky_map()
+    u = validate_map(vals)
+    for measure, oracle in (
+        ("moran", _moran_oracle(vals)),
+        ("eds", _eds_oracle(vals, 0.2)),
+        ("entropy", _entropy_oracle(vals, 4)),
+    ):
+        got = spatial_weight_map(vals, measure).weights
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+        want = float((vals * oracle).sum() / vals.sum())
+        score = {"moran": mor, "eds": eds, "entropy": ent}[measure](u)
+        assert score == pytest.approx(want, abs=1e-12)
+
+
+def test_blocky_map_constant_windows_are_exact():
+    vals = _blocky_map()
+    flat3 = _constant_windows(vals, 1)
+    # eds reads the Sobel response of each window pixel, so its window
+    # reaches two pixels out
+    flat5 = _constant_windows(vals, 2)
+    assert flat3.sum() > 1000 and flat5.sum() > 500
+    assert (spatial_weight_map(vals, "moran").weights[flat3] == 1.0).all()
+    assert (spatial_weight_map(vals, "entropy").weights[flat3] == 0.0).all()
+    assert (spatial_weight_map(vals, "eds").weights[flat5] == 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # analytic anchors
 
