@@ -169,14 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
 # aggregate
 
 
+def _sample_failure(row: io.ManifestRow, path: str, exc: UqaggError) -> _CliFailure:
+    """The error of one sample's file, naming the sample and the file."""
+    code = _EXIT_IO if isinstance(exc, MissingFile) else _EXIT_DATA
+    return _CliFailure(code, f"sample {row.sample_id!r} ({path}): {exc}")
+
+
 def _load_map(manifest: io.Manifest, row: io.ManifestRow):
-    return validate_map(io.read_npy(manifest.resolve(row.map_path)))
+    path = manifest.resolve(row.map_path)
+    try:
+        return validate_map(io.read_npy(path))
+    except UqaggError as exc:
+        raise _sample_failure(row, path, exc) from None
 
 
 def _load_mask(manifest: io.Manifest, row: io.ManifestRow):
     if row.mask_path is None:
         return None
-    return SegmentationMask(io.read_npy(manifest.resolve(row.mask_path)))
+    path = manifest.resolve(row.mask_path)
+    try:
+        return SegmentationMask(io.read_npy(path))
+    except UqaggError as exc:
+        raise _sample_failure(row, path, exc) from None
 
 
 def _cmd_aggregate(args) -> int:

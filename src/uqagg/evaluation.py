@@ -23,7 +23,6 @@ from .core import FeatureVector, as_mask
 from .errors import (
     AllZeroDifferences,
     EmptyInput,
-    FeatureMismatch,
     InvalidParam,
     LengthMismatch,
     ShapeMismatch,
@@ -39,42 +38,50 @@ _LANE_BOOTSTRAP = 21
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties averaged."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    ranks[order] = np.arange(1, len(x) + 1)
-    sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    """Ranks starting at 1 along the last axis, ties averaged."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    sx = np.take_along_axis(x, order, axis=-1)
+    # A tie group spans sorted positions [start, end]: start is the last
+    # group opening at or before a position, end the first group closing at
+    # or after it. Every member gets the group's mean rank, 0.5*(start+1+end+1).
+    opens = np.ones(x.shape, dtype=bool)
+    opens[..., 1:] = sx[..., 1:] != sx[..., :-1]
+    closes = np.ones(x.shape, dtype=bool)
+    closes[..., :-1] = opens[..., 1:]
+    pos = np.arange(n)
+    start = np.maximum.accumulate(np.where(opens, pos, 0), axis=-1)
+    end = np.minimum.accumulate(np.where(closes, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, 0.5 * (start + 1 + end + 1), axis=-1)
     return ranks
 
 
-def auroc(scores, labels) -> float:
+def auroc(scores, labels):
     """Probability that a positive outscores a negative, ties worth 0.5.
 
     ``labels`` are 0/1 with 1 the positive class; both classes must appear.
+    ``scores`` is one score per label, or an ``(s, n)`` block with one row of
+    scores per strategy: a 1-D input returns a float, a block one value per
+    row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    if scores.ndim != 1 or labels.ndim != 1:
-        raise InvalidParam("scores and labels must be 1-D")
-    if len(scores) != len(labels):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
-    if not np.isin(labels, (0, 1)).all():
-        raise InvalidParam("labels must be 0 or 1")
+    if scores.ndim not in (1, 2) or labels.ndim != 1:
+        raise InvalidParam("scores must be 1-D or (s, n) and labels 1-D")
+    if scores.shape[-1] != len(labels):
+        raise LengthMismatch(f"{scores.shape[-1]} scores vs {len(labels)} labels")
     pos = labels == 1
+    if not (pos | (labels == 0)).all():
+        raise InvalidParam("labels must be 0 or 1")
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass(f"need both classes, got {n_pos} positives of {len(labels)}")
-    ranks = _rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # Rank sums are sums of half-integers, exact in any summation order.
+    rank_sums = _rankdata(scores)[..., pos].sum(axis=-1)
+    values = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(values) if scores.ndim == 1 else values
 
 
 def dice(pred, gt, mode: str = "micro") -> float:
@@ -121,6 +128,44 @@ class RiskCoverageCurve:
     thresholds: np.ndarray  # ascending distinct confidence values
 
 
+def _check_curve_inputs(risks, confidences) -> tuple[np.ndarray, np.ndarray]:
+    risks = np.asarray(risks, dtype=np.float64)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    if risks.ndim != 1 or confidences.ndim not in (1, 2):
+        raise InvalidParam("risks must be 1-D and confidences 1-D or (s, n)")
+    if confidences.shape[-1] != len(risks):
+        raise LengthMismatch(
+            f"{len(risks)} risks vs {confidences.shape[-1]} confidences"
+        )
+    if len(risks) == 0:
+        raise EmptyInput("risk-coverage needs at least one sample")
+    return risks, confidences
+
+
+def _working_points(risks: np.ndarray, confidences: np.ndarray):
+    """Risk-coverage working points of every row of an ``(s, n)`` block.
+
+    Returns ``(bounds, coverages, risks, thresholds)`` with the points of all
+    rows concatenated: row r's points are ``[bounds[r], bounds[r + 1])``, in
+    ascending threshold order.
+    """
+    n = confidences.shape[-1]
+    order = np.argsort(confidences, axis=-1, kind="stable")
+    sorted_conf = np.take_along_axis(confidences, order, axis=-1)
+    # suffix_sum[r, i] = total risk of row r's samples with the i-th smallest
+    # confidence or larger; distinct thresholds are the first positions of
+    # each run.
+    suffix_sum = np.cumsum(risks[order][:, ::-1], axis=-1)[:, ::-1]
+    first = np.ones(confidences.shape, dtype=bool)
+    first[:, 1:] = sorted_conf[:, 1:] != sorted_conf[:, :-1]
+    rows, starts = np.nonzero(first)
+    bounds = np.zeros(len(confidences) + 1, dtype=np.intp)
+    np.cumsum(first.sum(axis=-1), out=bounds[1:])
+    coverages = (n - starts) / n
+    sel_risks = suffix_sum[rows, starts] / (n - starts)
+    return bounds, coverages, sel_risks, sorted_conf[rows, starts]
+
+
 def risk_coverage(risks, confidences) -> RiskCoverageCurve:
     """Selective risk at every distinct confidence threshold.
 
@@ -128,27 +173,16 @@ def risk_coverage(risks, confidences) -> RiskCoverageCurve:
     confidences are retained or dropped together. The first point always has
     coverage 1.
     """
-    risks = np.asarray(risks, dtype=np.float64)
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if risks.ndim != 1 or confidences.ndim != 1:
+    risks, confidences = _check_curve_inputs(risks, confidences)
+    if confidences.ndim != 1:
         raise InvalidParam("risks and confidences must be 1-D")
-    if len(risks) != len(confidences):
-        raise LengthMismatch(f"{len(risks)} risks vs {len(confidences)} confidences")
-    if len(risks) == 0:
-        raise EmptyInput("risk-coverage needs at least one sample")
-    n = len(risks)
-    order = np.argsort(confidences, kind="stable")
-    sorted_conf = confidences[order]
-    sorted_risk = risks[order]
-    # suffix_sum[i] = total risk of samples with the i-th smallest confidence
-    # or larger; distinct thresholds are the first positions of each run.
-    suffix_sum = np.cumsum(sorted_risk[::-1])[::-1]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_conf[1:] != sorted_conf[:-1]
-    starts = np.nonzero(first)[0]
-    coverages = (n - starts) / n
-    sel_risks = suffix_sum[starts] / (n - starts)
-    return RiskCoverageCurve(coverages, sel_risks, sorted_conf[starts])
+    _, coverages, sel_risks, thresholds = _working_points(risks, confidences[None])
+    return RiskCoverageCurve(coverages, sel_risks, thresholds)
+
+
+def _segment_areas(coverages: np.ndarray, risks: np.ndarray) -> np.ndarray:
+    """Trapezoid areas between consecutive working points."""
+    return (coverages[:-1] - coverages[1:]) * (0.5 * (risks[:-1] + risks[1:]))
 
 
 def aurc(curve: RiskCoverageCurve) -> float:
@@ -157,29 +191,34 @@ def aurc(curve: RiskCoverageCurve) -> float:
     Integrates over positive coverage decrements between consecutive working
     points; a single-point curve has zero area.
     """
-    cov = curve.coverages
-    risk = curve.risks
-    if len(cov) < 2:
-        return 0.0
-    widths = cov[:-1] - cov[1:]
-    heights = 0.5 * (risk[:-1] + risk[1:])
-    return float((widths * heights).sum())
+    return float(_segment_areas(curve.coverages, curve.risks).sum())
 
 
-def eaurc(risks, confidences) -> float:
+def _aurc_rows(risks: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    bounds, coverages, sel_risks, _ = _working_points(risks, confidences)
+    areas = _segment_areas(coverages, sel_risks)
+    # One 1-D sum per row over its own segments (the last segment of a row
+    # would join it to the next row), so every row sums in the same order as
+    # a lone curve; a 2-D or masked sum would block the additions differently.
+    return np.array([areas[lo:hi - 1].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def eaurc(risks, confidences):
     """AURC in excess of the oracle that ranks by ascending true risk.
 
     The oracle uses confidence = -risk under the same curve convention.
     Non-negative for tie-free confidences; degenerate inputs whose tied
     confidences collapse the curve to fewer points can undercount area and
     go negative. Float noise above -1e-12 is clamped to zero.
+    ``confidences`` is one value per risk, or an ``(s, n)`` block with one row
+    per strategy: a 1-D input returns a float, a block one value per row. The
+    oracle curve is built once per call.
     """
-    value = aurc(risk_coverage(risks, confidences)) - aurc(
-        risk_coverage(risks, -np.asarray(risks, dtype=np.float64))
-    )
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return float(value)
+    risks, confidences = _check_curve_inputs(risks, confidences)
+    oracle = _aurc_rows(risks, -risks[None])[0]
+    values = _aurc_rows(risks, np.atleast_2d(confidences)) - oracle
+    values[(-1e-12 < values) & (values < 0.0)] = 0.0
+    return float(values[0]) if confidences.ndim == 1 else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,27 +239,24 @@ def _metric_fn(metric: str):
     raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
 
 
-def _bootstrap_auroc(scores, labels, risks, idx):
+def _bootstrap_auroc(cols, labels, risks, idx):
     lab = labels[idx]
     if lab.min() == lab.max():
         return None
-    return [float(auroc(col[idx], lab)) for col in scores]
+    return auroc(cols[:, idx], lab)
 
 
-def _bootstrap_eaurc(scores, labels, risks, idx):
-    r = risks[idx]
-    return [float(eaurc(r, -col[idx])) for col in scores]
+def _bootstrap_eaurc(cols, labels, risks, idx):
+    return eaurc(risks[idx], -cols[:, idx])
 
 
 def _records_to_arrays(records: Sequence[EvalRecord], strategies, metric):
+    """Scores as one ``(strategies, records)`` block, plus labels or risks."""
     if not records:
         raise EmptyInput("no records to evaluate")
-    cols = []
-    for name in strategies:
-        try:
-            cols.append(np.array([r.scores.get(name) for r in records]))
-        except KeyError:
-            raise FeatureMismatch(f"records lack scores for strategy {name!r}")
+    cols = np.empty((len(strategies), len(records)), dtype=np.float64)
+    for j, name in enumerate(strategies):
+        cols[j] = [r.scores.get(name) for r in records]
     labels = None
     risks = None
     if metric == "auroc":
@@ -242,7 +278,8 @@ def bootstrap_table(records: Sequence[EvalRecord], strategies: Sequence[str],
     Every iteration draws one resample (with replacement) shared by all
     strategies, so the returned vectors are aligned for paired tests.
     Resamples that break a metric precondition (single class for AUROC) are
-    redrawn from the same iteration stream, at most 100 times.
+    redrawn from the same iteration stream, at most 100 times. Each resample
+    is one metric call on the ``(strategies, n)`` block of its columns.
     """
     strategies = list(strategies)
     fn = _metric_fn(metric)

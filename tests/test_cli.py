@@ -239,6 +239,34 @@ def test_aggregate_mask_required_without_masks(tmp_path):
     assert "bca" in res.stderr and "'a'" in res.stderr
 
 
+def test_aggregate_invalid_map_or_mask_names_sample_and_file(tmp_path):
+    bad_map = np.full((8, 8), 0.5)
+    bad_map[3, 4] = 1.5
+    write_npy(tmp_path / "ok.npy", np.full((8, 8), 0.5))
+    write_npy(tmp_path / "bad.npy", bad_map)
+    write_npy(tmp_path / "mask.npy", np.ones((8, 8), dtype=np.int64))
+    write_npy(tmp_path / "bad_mask.npy", -np.ones((8, 8), dtype=np.int64))
+    cases = [
+        (ManifestRow("broken", "bad.npy", "mask.npy", None, None), "bad.npy"),
+        (ManifestRow("unmasked", "ok.npy", "bad_mask.npy", None, None),
+         "bad_mask.npy"),
+    ]
+    for row, culprit in cases:
+        write_manifest(
+            tmp_path / "m.csv",
+            [ManifestRow("fine", "ok.npy", "mask.npy", None, None), row],
+        )
+        out = tmp_path / "s.csv"
+        res = run_cli(
+            "aggregate", "--manifest", str(tmp_path / "m.csv"),
+            "--strategies", "avg,bca", "--out", str(out),
+        )
+        assert res.returncode == 4
+        assert repr(row.sample_id) in res.stderr
+        assert str(tmp_path / culprit) in res.stderr
+        assert not out.exists()
+
+
 def test_aggregate_no_foreground_warns_and_leaves_cell_empty(tmp_path):
     write_npy(tmp_path / "u.npy", np.full((8, 8), 0.5))
     write_npy(tmp_path / "empty_mask.npy", np.zeros((8, 8), dtype=np.int64))

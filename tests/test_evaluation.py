@@ -19,6 +19,8 @@ from uqagg import (
     significance_matrix,
     wilcoxon_one_sided,
 )
+from uqagg.evaluation import _rankdata
+from uqagg.rng import stream
 from uqagg.errors import (
     AllZeroDifferences,
     EmptyInput,
@@ -94,6 +96,62 @@ def test_auroc_validation():
         auroc(np.array([0.1]), np.array([1, 0]))
     with pytest.raises(InvalidParam):
         auroc(np.array([0.1, 0.2]), np.array([1, 2]))
+    with pytest.raises(InvalidParam):
+        auroc(np.zeros((2, 2, 2)), np.array([0, 1]))
+    with pytest.raises(LengthMismatch):
+        auroc(np.zeros((3, 2)), np.array([0, 1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# tie-averaged ranks
+
+
+def _rankdata_loop(x):
+    # The former per-sample loop, kept as the bit-level reference.
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.arange(1, len(x) + 1)
+    sx = x[order]
+    i = 0
+    while i < len(sx):
+        j = i
+        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    return ranks
+
+
+def _rank_oracle(row):
+    # rank = #less + (#equal + 1) / 2, the equal count including the value itself
+    return np.array([(row < v).sum() + ((row == v).sum() + 1) / 2.0 for v in row])
+
+
+def _rank_cases():
+    rng = np.random.default_rng(17)
+    yield rng.integers(0, 3, size=(6, 40))           # tie-heavy integers
+    yield np.full((3, 9), 0.25)                      # every row all equal
+    yield rng.random((4, 1))                         # length-1 rows
+    yield rng.random((5, 257))                       # distinct floats
+    yield np.round(rng.normal(size=(7, 64)), 1)      # mixed ties and singletons
+
+
+def test_rankdata_matches_brute_force_oracle():
+    for block in _rank_cases():
+        ranks = _rankdata(block)
+        assert ranks.dtype == np.float64 and ranks.shape == block.shape
+        for row, got in zip(block, ranks):
+            np.testing.assert_array_equal(_rankdata(row), _rank_oracle(row))
+            np.testing.assert_array_equal(got, _rank_oracle(row))
+
+
+def test_rankdata_bit_identical_to_loop():
+    # NaN never equals itself, so each NaN is its own group, in input order.
+    with_nan = np.array([[0.5, np.nan, 0.5, 0.1, np.nan, 0.1, 0.1]])
+    for block in [*_rank_cases(), with_nan]:
+        for row in block:
+            assert _rankdata(row).tobytes() == _rankdata_loop(row).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +271,40 @@ def test_eaurc_tied_confidences_can_go_negative():
     assert eaurc(np.array([0.0, 1.0]), np.array([0.5, 0.5])) == pytest.approx(
         -0.125, abs=1e-12
     )
+
+
+def test_auroc_and_eaurc_blocks_equal_row_calls():
+    rng = np.random.default_rng(23)
+    n = 300
+    labels = rng.integers(0, 2, size=n)
+    risks = np.round(rng.random(n), 2)
+    block = np.vstack([
+        rng.integers(0, 4, size=n).astype(float),   # heavily tied confidences
+        np.full(n, 0.5),                            # one working point: zero area
+        np.round(rng.random(n), 2),
+        rng.random(n),
+        -risks,                                     # the oracle ordering itself
+    ])
+    got = auroc(block, labels)
+    assert got.shape == (len(block),)
+    assert got.tobytes() == np.array([auroc(row, labels) for row in block]).tobytes()
+    got = eaurc(risks, block)
+    assert got.shape == (len(block),)
+    assert got.tobytes() == np.array([eaurc(risks, row) for row in block]).tobytes()
+    assert got[4] == 0.0
+
+
+def test_eaurc_block_clamps_float_noise():
+    # The first row orders the samples differently from the oracle but with
+    # the same area; its raw excess is about -1.4e-17 and is reported as 0.
+    risks = np.array([0.3, 0.1, 0.2, 0.2])
+    block = np.array([[2.0, 0.0, 0.0, 2.0], [0.5, 0.5, 0.5, 0.5]])
+    raw = aurc(risk_coverage(risks, block[0])) - aurc(risk_coverage(risks, -risks))
+    assert -1e-12 < raw < 0.0
+    got = eaurc(risks, block)
+    assert got[0] == 0.0 and eaurc(risks, block[0]) == 0.0
+    assert got.tobytes() == np.array([eaurc(risks, row) for row in block]).tobytes()
+    assert isinstance(eaurc(risks, block[1]), float)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +458,50 @@ def test_bootstrap_all_one_class_raises():
     ]
     with pytest.raises(SingleClass):
         bootstrap_table(records, ["a"], "auroc", b=10, seed=0)
+
+
+def _bootstrap_reference(records, names, metric, b, seed):
+    # One resample per iteration from stream(seed, 21, i), redrawn while it
+    # holds a single class, then the public 1-D metric column by column.
+    cols = [np.array([r.scores.get(name) for r in records]) for name in names]
+    labels = np.array([r.ood_label for r in records])
+    risks = np.array([r.risk for r in records])
+    n = len(records)
+    out = np.empty((b, len(names)))
+    redraws = 0
+    for i in range(b):
+        rng = stream(seed, 21, i)
+        idx = rng.integers(0, n, size=n)
+        if metric == "auroc":
+            while labels[idx].min() == labels[idx].max():
+                redraws += 1
+                idx = rng.integers(0, n, size=n)
+            out[i] = [auroc(col[idx], labels[idx]) for col in cols]
+        else:
+            out[i] = [eaurc(risks[idx], -col[idx]) for col in cols]
+    return out, redraws
+
+
+def test_bootstrap_table_equals_reference_loop():
+    rng = np.random.default_rng(31)
+    names = ("tied", "fine", "flat")
+    records = [
+        EvalRecord(
+            f"s{i}",
+            FeatureVector(names, np.array(
+                [float(rng.integers(0, 3)), rng.random(), 0.5])),
+            int(i == 0),                      # one positive: many redraws
+            float(np.round(rng.random(), 1)),
+        )
+        for i in range(9)
+    ]
+    for metric in ("auroc", "eaurc"):
+        table = bootstrap_table(records, list(names), metric, b=40, seed=5)
+        ref, redraws = _bootstrap_reference(records, names, metric, 40, 5)
+        if metric == "auroc":
+            assert redraws > 0
+        for j, name in enumerate(names):
+            assert table[name].tobytes() == ref[:, j].tobytes()
 
 
 # ---------------------------------------------------------------------------
