@@ -30,8 +30,7 @@ from .errors import (
     ParseError,
     UqaggError,
 )
-from .evaluation import DEFAULT_BOOTSTRAP, EvalRecord
-from .core import FeatureVector
+from .evaluation import DEFAULT_BOOTSTRAP
 from .meta import (
     DEFAULT_EPSILON,
     DEFAULT_K_MAX,
@@ -269,31 +268,35 @@ def _spec_from_args(args) -> FeatureSetSpec:
     return FeatureSetSpec.custom(keys)
 
 
-def _select_complete_rows(ids, names, matrix, wanted) -> tuple[list[str], np.ndarray]:
+def _complete_rows(ids, names, matrix, wanted, note) -> tuple[np.ndarray, np.ndarray]:
+    """The ``wanted`` columns of a score table and the mask of its complete rows.
+
+    A row is complete when none of its wanted cells is empty; each other row
+    gets one warning that ends with ``note``.
+    """
     missing = [w for w in wanted if w not in names]
     if missing:
         raise MissingColumn(f"score table lacks strategy columns {missing}")
-    cols = [names.index(w) for w in wanted]
-    sub = matrix[:, cols]
+    sub = matrix[:, [names.index(w) for w in wanted]]
     keep = ~np.isnan(sub).any(axis=1)
     for sid, ok in zip(ids, keep):
         if not ok:
             print(
-                f"warning: sample {sid!r} lacks a score for some requested "
-                "strategy; skipping it",
+                f"warning: sample {sid!r} has an empty cell in a used column; "
+                f"{note}",
                 file=sys.stderr,
             )
-    return [sid for sid, ok in zip(ids, keep) if ok], sub[keep]
+    return sub, keep
 
 
 def _cmd_gmm_fit(args) -> int:
     spec = _spec_from_args(args)
     ids, names, matrix = io.read_scores(args.features)
-    kept_ids, x = _select_complete_rows(ids, names, matrix, list(spec.strategies))
-    if not kept_ids:
+    x, keep = _complete_rows(ids, names, matrix, spec.strategies, "skipping it")
+    if not keep.any():
         raise _CliFailure(_EXIT_DATA, "no complete feature rows to fit on")
     model = meta.fit_meta(
-        x,
+        x[keep],
         spec,
         k_max=args.k_max,
         seed=args.seed,
@@ -318,23 +321,12 @@ def _cmd_gmm_score(args) -> int:
     column = f"gmm:{model.feature_spec.variant}"
     if column in names:
         raise _CliFailure(_EXIT_DATA, f"score table already has a {column!r} column")
-    wanted = list(model.feature_spec.strategies)
-    missing = [w for w in wanted if w not in names]
-    if missing:
-        raise MissingColumn(f"score table lacks strategy columns {missing}")
-    cols = [names.index(w) for w in wanted]
-    sub = matrix[:, cols]
+    x, keep = _complete_rows(
+        ids, names, matrix, model.feature_spec.strategies, "leaving its NLL empty"
+    )
     nll = np.full(len(ids), math.nan)
-    complete = ~np.isnan(sub).any(axis=1)
-    if complete.any():
-        nll[complete] = meta.meta_score_matrix(model, sub[complete])
-    for sid, ok in zip(ids, complete):
-        if not ok:
-            print(
-                f"warning: sample {sid!r} lacks a score for some model feature; "
-                "leaving its NLL empty",
-                file=sys.stderr,
-            )
+    if keep.any():
+        nll[keep] = meta.meta_score_matrix(model, x[keep])
     io.write_scores(args.out, ids, names + [column], np.column_stack([matrix, nll]))
     return 0
 
@@ -349,42 +341,28 @@ def _cmd_eval(args) -> int:
         raise _CliFailure(_EXIT_DATA, f"{args.scores}: no strategy columns")
     manifest = io.read_manifest(args.manifest, check_files=False)
     by_id = {row.sample_id: row for row in manifest.rows}
-    metric = "auroc" if args.task == "ood" else "eaurc"
-
-    records = []
-    for sid, row_values in zip(ids, matrix):
-        mrow = by_id.get(sid)
-        if mrow is None:
+    for sid in ids:
+        if sid not in by_id:
             raise _CliFailure(
                 _EXIT_DATA, f"sample {sid!r} is scored but missing from the manifest"
             )
-        if np.isnan(row_values).any():
-            print(
-                f"warning: sample {sid!r} has empty score cells; skipping it",
-                file=sys.stderr,
-            )
-            continue
-        if metric == "auroc" and mrow.ood_label is None:
+    metric, field = ("auroc", "ood_label") if args.task == "ood" else ("eaurc", "risk")
+
+    x, keep = _complete_rows(ids, names, matrix, names, "skipping it")
+    kept = [by_id[sid] for sid, ok in zip(ids, keep) if ok]
+    if not kept:
+        raise _CliFailure(_EXIT_DATA, "no complete score rows to evaluate")
+    for row in kept:
+        if getattr(row, field) is None:
             raise _CliFailure(
-                _EXIT_DATA, f"sample {sid!r}: task ood needs ood_label in the manifest"
+                _EXIT_DATA,
+                f"sample {row.sample_id!r}: task {args.task} needs {field} "
+                "in the manifest",
             )
-        if metric == "eaurc" and mrow.risk is None:
-            raise _CliFailure(
-                _EXIT_DATA, f"sample {sid!r}: task fd needs risk in the manifest"
-            )
-        records.append(
-            EvalRecord(
-                sample_id=sid,
-                scores=FeatureVector(tuple(names), row_values),
-                ood_label=mrow.ood_label,
-                risk=mrow.risk,
-            )
-        )
-    if not records:
-        raise _CliFailure(_EXIT_DATA, "no usable records after joining scores/manifest")
+    target = np.array([getattr(row, field) for row in kept])
 
     table = evaluation.bootstrap_table(
-        records, names, metric, b=args.bootstrap, seed=args.seed
+        x[keep].T, target, metric, b=args.bootstrap, seed=args.seed
     )
     dataset = args.dataset or os.path.splitext(os.path.basename(args.manifest))[0]
 
@@ -392,8 +370,10 @@ def _cmd_eval(args) -> int:
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "dataset", "metric", "mean", "std"])
-        for name in names:
-            samples = table[name]
+        for j, name in enumerate(names):
+            # Mean and std of a contiguous copy: a strided or 2-D reduction
+            # can sum in a different order.
+            samples = table[:, j].copy()
             writer.writerow([
                 name, dataset, metric,
                 io._fmt_float(samples.mean()), io._fmt_float(samples.std()),
@@ -402,10 +382,10 @@ def _cmd_eval(args) -> int:
               newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(args.bootstrap):
-            writer.writerow([io._fmt_float(table[name][i]) for name in names])
+        for row in table:
+            writer.writerow([io._fmt_float(v) for v in row])
     print(
-        f"evaluated {metric} for {len(names)} strategies on {len(records)} samples "
+        f"evaluated {metric} for {len(names)} strategies on {len(kept)} samples "
         f"({args.bootstrap} bootstrap resamples)",
         file=sys.stderr,
     )

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import FeatureVector, as_mask
+from .core import as_mask
 from .errors import (
     AllZeroDifferences,
     EmptyInput,
@@ -221,101 +221,52 @@ def eaurc(risks, confidences):
     return float(values[0]) if confidences.ndim == 1 else values
 
 
-@dataclass(frozen=True, eq=False)
-class EvalRecord:
-    """One evaluated sample: aggregated scores plus task labels."""
+def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
+                    seed: int = 0) -> np.ndarray:
+    """Paired bootstrap samples of a metric for several strategies.
 
-    sample_id: str
-    scores: FeatureVector
-    ood_label: int | None = None
-    risk: float | None = None
-
-
-def _metric_fn(metric: str):
-    if metric == "auroc":
-        return _bootstrap_auroc
-    if metric == "eaurc":
-        return _bootstrap_eaurc
-    raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
-
-
-def _bootstrap_auroc(cols, labels, risks, idx):
-    lab = labels[idx]
-    if lab.min() == lab.max():
-        return None
-    return auroc(cols[:, idx], lab)
-
-
-def _bootstrap_eaurc(cols, labels, risks, idx):
-    return eaurc(risks[idx], -cols[:, idx])
-
-
-def _records_to_arrays(records: Sequence[EvalRecord], strategies, metric):
-    """Scores as one ``(strategies, records)`` block, plus labels or risks."""
-    if not records:
-        raise EmptyInput("no records to evaluate")
-    cols = np.empty((len(strategies), len(records)), dtype=np.float64)
-    for j, name in enumerate(strategies):
-        cols[j] = [r.scores.get(name) for r in records]
-    labels = None
-    risks = None
-    if metric == "auroc":
-        if any(r.ood_label is None for r in records):
-            raise InvalidParam("auroc needs an ood_label on every record")
-        labels = np.array([int(r.ood_label) for r in records])
-    else:
-        if any(r.risk is None for r in records):
-            raise InvalidParam("eaurc needs a risk on every record")
-        risks = np.array([float(r.risk) for r in records])
-    return cols, labels, risks
-
-
-def bootstrap_table(records: Sequence[EvalRecord], strategies: Sequence[str],
-                    metric: str, b: int = DEFAULT_BOOTSTRAP,
-                    seed: int = 0) -> dict[str, np.ndarray]:
-    """Paired bootstrap vectors of a metric for several strategies.
+    ``scores`` is an ``(s, n)`` block, one row per strategy; ``target`` holds
+    one value per column: the 0/1 labels for ``auroc``, the risks for
+    ``eaurc`` (whose confidence is the negated score). Returns a ``(b, s)``
+    array whose row i is resample i for every strategy.
 
     Every iteration draws one resample (with replacement) shared by all
-    strategies, so the returned vectors are aligned for paired tests.
-    Resamples that break a metric precondition (single class for AUROC) are
-    redrawn from the same iteration stream, at most 100 times. Each resample
-    is one metric call on the ``(strategies, n)`` block of its columns.
+    strategies, so the columns are aligned for paired tests. Resamples that
+    break a metric precondition (single class for AUROC) are redrawn from the
+    same iteration stream, at most 100 times. Each resample is one metric call
+    on the block of its columns.
     """
-    strategies = list(strategies)
-    fn = _metric_fn(metric)
+    if metric not in ("auroc", "eaurc"):
+        raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
     if b < 1:
         raise InvalidParam(f"bootstrap count must be >= 1, got {b}")
-    cols, labels, risks = _records_to_arrays(records, strategies, metric)
-    n = len(records)
-    out = np.empty((b, len(strategies)), dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    target = np.asarray(target)
+    if scores.ndim != 2 or target.ndim != 1:
+        raise InvalidParam("scores must be (s, n) and target 1-D")
+    if scores.shape[1] != len(target):
+        raise LengthMismatch(f"{scores.shape[1]} score columns vs {len(target)} targets")
+    n = len(target)
+    if n == 0:
+        raise EmptyInput("no samples to evaluate")
+    out = np.empty((b, len(scores)), dtype=np.float64)
     for i in range(b):
         rng = stream(seed, _LANE_BOOTSTRAP, i)
-        for attempt in range(_REDRAW_LIMIT + 1):
+        for _ in range(_REDRAW_LIMIT + 1):
             idx = rng.integers(0, n, size=n)
-            values = fn(cols, labels, risks, idx)
-            if values is not None:
+            if metric == "eaurc":
+                out[i] = eaurc(target[idx], -scores[:, idx])
+                break
+            labels = target[idx]
+            if labels.min() != labels.max():
+                out[i] = auroc(scores[:, idx], labels)
                 break
         else:
             raise SingleClass(
                 f"bootstrap iteration {i}: no valid resample in "
                 f"{_REDRAW_LIMIT} redraws"
             )
-        out[i] = values
-    return {name: out[:, j].copy() for j, name in enumerate(strategies)}
-
-
-@dataclass(frozen=True, eq=False)
-class BootstrapResult:
-    mean: float
-    std: float
-    samples: np.ndarray
-
-
-def bootstrap_metric(records: Sequence[EvalRecord], strategy: str, metric: str,
-                     b: int = DEFAULT_BOOTSTRAP, seed: int = 0) -> BootstrapResult:
-    """Bootstrap mean/std of one metric for one strategy."""
-    samples = bootstrap_table(records, [strategy], metric, b=b, seed=seed)[strategy]
-    return BootstrapResult(float(samples.mean()), float(samples.std()), samples)
+    return out
 
 
 def wilcoxon_one_sided(a, b=None) -> float:

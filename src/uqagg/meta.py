@@ -210,7 +210,9 @@ def _em_once(x, k, rng, max_iter, tol, ridge) -> EmResult:
             1.0, abs(history[-1])
         )
 
-    for _ in range(max_iter):
+    # max_iter M-steps, each after an E-step, then one last E-step that only
+    # scores the final parameters.
+    for it in range(max_iter + 1):
         logp = _log_components(x, weights, means, covs)
         lse = _logsumexp_rows(logp)
         ll = float(lse.sum())
@@ -221,6 +223,8 @@ def _em_once(x, k, rng, max_iter, tol, ridge) -> EmResult:
             ll = history[-1]
             break
         history.append(ll)
+        if it == max_iter:
+            break
         if prev is not None and abs(ll - prev) < tol * max(1.0, abs(ll)):
             converged = True
             break
@@ -240,14 +244,6 @@ def _em_once(x, k, rng, max_iter, tol, ridge) -> EmResult:
             cov = (resp[:, j, None] * diff).T @ diff / nk[j] + ridge * eye
             means[j] = mu
             covs[j] = cov
-    else:
-        logp = _log_components(x, weights, means, covs)
-        ll = float(_logsumexp_rows(logp).sum())
-        if decreased(ll):
-            weights, means, covs = snapshot
-            ll = history[-1]
-        else:
-            history.append(ll)
 
     return EmResult(weights, means, covs, ll, tuple(history), len(history), converged)
 

@@ -74,7 +74,9 @@ class Strategy:
 
 
 def _fmt(value: float) -> str:
-    return format(value, "g")
+    # The shortest spelling that parses back to the same float, so a key
+    # re-parses to the strategy it names.
+    return repr(float(value))
 
 
 def _parse_float(kind: str, text: str) -> float:

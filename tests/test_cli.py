@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from uqagg import write_npy
-from uqagg.io import write_manifest, ManifestRow
+from uqagg import bootstrap_table, read_scores, write_npy, write_scores
+from uqagg.io import ManifestRow, _fmt_float, read_manifest, write_manifest
 
 
 def run_cli(*args, cwd=None):
@@ -322,3 +322,155 @@ def test_eval_missing_labels_is_data_error(tmp_path):
     )
     assert res.returncode == 4
     assert "ood_label" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# complete rows: gmm-fit, gmm-score and eval read only rows with every used cell
+
+
+def _table_with_gaps(tmp_path, n=24, gaps=(("s003", 1), ("s017", 0)), risk=True):
+    """A score table over avg and mor with one empty cell per listed row."""
+    rng = np.random.default_rng(5)
+    ids = [f"s{i:03d}" for i in range(n)]
+    labels = [int(i % 2) for i in range(n)]
+    values = np.column_stack([
+        0.3 + 0.1 * np.array(labels) + 0.05 * rng.random(n),
+        0.2 + 0.6 * rng.random(n),
+    ])
+    for sid, j in gaps:
+        values[ids.index(sid), j] = np.nan
+    write_scores(tmp_path / "scores.csv", ids, ["avg", "mor"], values)
+    write_manifest(tmp_path / "m.csv", [
+        ManifestRow(sid, f"{sid}.npy", None, lab,
+                    round(float(rng.random()), 2) if risk else None)
+        for sid, lab in zip(ids, labels)
+    ])
+    return ids, values
+
+
+def _warnings(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("warning:")]
+
+
+@pytest.mark.parametrize("task", ["ood", "fd"])
+def test_eval_skips_incomplete_row_with_one_warning(tmp_path, task):
+    ids, values = _table_with_gaps(tmp_path, gaps=(("s003", 1),))
+    res = run_cli(
+        "eval", "--scores", str(tmp_path / "scores.csv"), "--manifest",
+        str(tmp_path / "m.csv"), "--task", task, "--bootstrap", "20",
+        "--seed", "4", "--out-prefix", str(tmp_path / "e"),
+    )
+    assert res.returncode == 0, res.stderr
+    warned = _warnings(res.stderr)
+    assert len(warned) == 1 and "'s003'" in warned[0]
+    assert "on 23 samples" in res.stderr
+
+    keep = ~np.isnan(values).any(axis=1)
+    rows = read_manifest(tmp_path / "m.csv", check_files=False).rows
+    field = "ood_label" if task == "ood" else "risk"
+    target = np.array([getattr(r, field) for r, ok in zip(rows, keep) if ok])
+    metric = "auroc" if task == "ood" else "eaurc"
+    table = bootstrap_table(values[keep].T, target, metric, b=20, seed=4)
+    expected = [["avg", "mor"]] + [[_fmt_float(v) for v in row] for row in table]
+    assert _read_rows(tmp_path / "e.samples.csv") == expected
+
+
+def test_eval_scored_sample_missing_from_manifest_exits_4(tmp_path):
+    _table_with_gaps(tmp_path, gaps=())
+    write_manifest(tmp_path / "m.csv", [
+        ManifestRow(r.sample_id, r.map_path, None, r.ood_label, r.risk)
+        for r in read_manifest(tmp_path / "m.csv", check_files=False).rows
+        if r.sample_id != "s010"
+    ])
+    res = run_cli(
+        "eval", "--scores", str(tmp_path / "scores.csv"), "--manifest",
+        str(tmp_path / "m.csv"), "--task", "ood", "--bootstrap", "5",
+        "--out-prefix", str(tmp_path / "e"),
+    )
+    assert res.returncode == 4
+    assert "'s010'" in res.stderr and "manifest" in res.stderr
+    assert not (tmp_path / "e.samples.csv").exists()
+
+
+def test_eval_fd_without_risk_exits_4(tmp_path):
+    _table_with_gaps(tmp_path, gaps=(), risk=False)
+    res = run_cli(
+        "eval", "--scores", str(tmp_path / "scores.csv"), "--manifest",
+        str(tmp_path / "m.csv"), "--task", "fd", "--bootstrap", "5",
+        "--out-prefix", str(tmp_path / "e"),
+    )
+    assert res.returncode == 4
+    assert "risk" in res.stderr
+    assert not (tmp_path / "e.samples.csv").exists()
+
+
+def test_gmm_fit_skips_incomplete_rows(tmp_path):
+    _table_with_gaps(tmp_path)
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "avg,mor", "--k-max", "2",
+        "--out", str(tmp_path / "model.json"),
+    )
+    assert res.returncode == 0, res.stderr
+    assert "on 22 samples" in res.stdout
+    assert json.loads((tmp_path / "model.json").read_text())["n_train"] == 22
+    warned = _warnings(res.stderr)
+    assert len(warned) == 2
+    assert "'s003'" in warned[0] and "'s017'" in warned[1]
+
+    # A row whose only empty cell lies outside the features is fitted.
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "avg", "--k-max", "2",
+        "--out", str(tmp_path / "model_avg.json"),
+    )
+    assert res.returncode == 0, res.stderr
+    assert "on 23 samples" in res.stdout
+
+
+def test_gmm_score_leaves_incomplete_rows_empty_and_warns(tmp_path):
+    ids, _ = _table_with_gaps(tmp_path)
+    model = tmp_path / "model.json"
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "mor", "--k-max", "2", "--out", str(model),
+    )
+    assert res.returncode == 0, res.stderr
+    res = run_cli(
+        "gmm-score", "--model", str(model), "--features",
+        str(tmp_path / "scores.csv"), "--out", str(tmp_path / "scored.csv"),
+    )
+    assert res.returncode == 0, res.stderr
+    warned = _warnings(res.stderr)
+    assert len(warned) == 1 and "'s003'" in warned[0]
+    rows = _read_rows(tmp_path / "scored.csv")
+    assert rows[0] == ["sample_id", "avg", "mor", "gmm:custom"]
+    empty = [row[0] for row in rows[1:] if row[-1] == ""]
+    assert empty == ["s003"]  # s017 lacks avg, which the model does not use
+
+
+def test_missing_feature_column_exits_4_and_names_it(tmp_path):
+    _table_with_gaps(tmp_path, gaps=())
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "avg,eds", "--out", str(tmp_path / "m.json"),
+    )
+    assert res.returncode == 4
+    assert "'eds'" in res.stderr
+    assert not (tmp_path / "m.json").exists()
+
+    model = tmp_path / "model.json"
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
+    )
+    assert res.returncode == 0, res.stderr
+    ids, names, matrix = read_scores(tmp_path / "scores.csv")
+    write_scores(tmp_path / "avg_only.csv", ids, ["avg"], matrix[:, :1])
+    res = run_cli(
+        "gmm-score", "--model", str(model), "--features",
+        str(tmp_path / "avg_only.csv"), "--out", str(tmp_path / "scored.csv"),
+    )
+    assert res.returncode == 4
+    assert "'mor'" in res.stderr
+    assert not (tmp_path / "scored.csv").exists()

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from uqagg import (
-    EvalRecord,
-    FeatureVector,
     auroc,
     aurc,
-    bootstrap_metric,
     bootstrap_table,
     dice,
     eaurc,
@@ -398,110 +395,105 @@ def test_wilcoxon_exact_normal_agree_near_boundary():
 # bootstrap
 
 
-def _make_records(n=24, seed=0):
+def _make_block(n=24, seed=0):
+    """Scores of "good" (row 0) and "anti" = -good (row 1), labels, risks."""
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        label = int(i < n // 2)
-        base = rng.normal(1.2 if label else 0.0, 0.6)
-        scores = FeatureVector(("good", "anti"), np.array([base, -base]))
-        risk = float(np.clip(0.5 + 0.25 * base, 0.0, 1.0))
-        records.append(EvalRecord(f"s{i:03d}", scores, label, risk))
-    return records
+    labels = np.array([int(i < n // 2) for i in range(n)])
+    base = np.array([rng.normal(1.2 if lab else 0.0, 0.6) for lab in labels])
+    risks = np.clip(0.5 + 0.25 * base, 0.0, 1.0)
+    return np.vstack([base, -base]), labels, risks
 
 
 def test_bootstrap_deterministic():
-    records = _make_records()
-    t1 = bootstrap_table(records, ["good", "anti"], "auroc", b=64, seed=7)
-    t2 = bootstrap_table(records, ["good", "anti"], "auroc", b=64, seed=7)
-    for k in t1:
-        np.testing.assert_array_equal(t1[k], t2[k])
-    t3 = bootstrap_table(records, ["good"], "auroc", b=64, seed=8)
-    assert not np.array_equal(t1["good"], t3["good"])
+    scores, labels, _ = _make_block()
+    t1 = bootstrap_table(scores, labels, "auroc", b=64, seed=7)
+    t2 = bootstrap_table(scores, labels, "auroc", b=64, seed=7)
+    assert t1.shape == (64, 2)
+    np.testing.assert_array_equal(t1, t2)
+    t3 = bootstrap_table(scores[:1], labels, "auroc", b=64, seed=8)
+    assert not np.array_equal(t1[:, 0], t3[:, 0])
 
 
 def test_bootstrap_resamples_shared_across_strategies():
     # anti = -good, so per-iteration AUROCs must be exact complements
-    records = _make_records()
-    table = bootstrap_table(records, ["good", "anti"], "auroc", b=80, seed=3)
-    np.testing.assert_allclose(table["good"] + table["anti"], 1.0, atol=1e-12)
+    scores, labels, _ = _make_block()
+    table = bootstrap_table(scores, labels, "auroc", b=80, seed=3)
+    np.testing.assert_allclose(table[:, 0] + table[:, 1], 1.0, atol=1e-12)
 
 
 def test_bootstrap_single_strategy_order_independent():
     # dropping a strategy must not change another strategy's vector
-    records = _make_records()
-    both = bootstrap_table(records, ["good", "anti"], "auroc", b=32, seed=11)
-    alone = bootstrap_table(records, ["good"], "auroc", b=32, seed=11)
-    np.testing.assert_array_equal(both["good"], alone["good"])
-
-
-def test_bootstrap_metric_summary():
-    records = _make_records()
-    res = bootstrap_metric(records, "good", "auroc", b=50, seed=1)
-    assert res.samples.shape == (50,)
-    assert res.mean == pytest.approx(float(res.samples.mean()), abs=1e-15)
-    assert res.std == pytest.approx(float(res.samples.std()), abs=1e-15)
-    assert 0.8 < res.mean <= 1.0
+    scores, labels, _ = _make_block()
+    both = bootstrap_table(scores, labels, "auroc", b=32, seed=11)
+    alone = bootstrap_table(scores[:1], labels, "auroc", b=32, seed=11)
+    assert alone.shape == (32, 1)
+    np.testing.assert_array_equal(both[:, 0], alone[:, 0])
+    assert 0.8 < alone[:, 0].mean() <= 1.0
 
 
 def test_bootstrap_eaurc_uses_negated_scores_as_confidence():
-    records = _make_records()
-    table = bootstrap_table(records, ["good", "anti"], "eaurc", b=50, seed=2)
+    scores, _, risks = _make_block()
+    table = bootstrap_table(scores, risks, "eaurc", b=50, seed=2)
     # "good" tracks risk, so -good ranks risky samples last: near-zero excess
-    assert table["good"].mean() < table["anti"].mean()
+    assert table[:, 0].mean() < table[:, 1].mean()
 
 
 def test_bootstrap_all_one_class_raises():
-    records = [
-        EvalRecord(f"s{i}", FeatureVector(("a",), np.array([float(i)])), 1, 0.5)
-        for i in range(6)
-    ]
+    scores = np.arange(6.0)[None]
     with pytest.raises(SingleClass):
-        bootstrap_table(records, ["a"], "auroc", b=10, seed=0)
+        bootstrap_table(scores, np.ones(6, dtype=int), "auroc", b=10, seed=0)
 
 
-def _bootstrap_reference(records, names, metric, b, seed):
+def test_bootstrap_table_validation():
+    scores, labels, _ = _make_block(n=6)
+    with pytest.raises(InvalidParam):
+        bootstrap_table(scores, labels, "dice", b=5)
+    with pytest.raises(InvalidParam):
+        bootstrap_table(scores, labels, "auroc", b=0)
+    with pytest.raises(InvalidParam):
+        bootstrap_table(scores[0], labels, "auroc", b=5)
+    with pytest.raises(LengthMismatch):
+        bootstrap_table(scores, labels[:-1], "auroc", b=5)
+    with pytest.raises(EmptyInput):
+        bootstrap_table(np.empty((2, 0)), [], "eaurc", b=5)
+
+
+def _bootstrap_reference(scores, target, metric, b, seed):
     # One resample per iteration from stream(seed, 21, i), redrawn while it
-    # holds a single class, then the public 1-D metric column by column.
-    cols = [np.array([r.scores.get(name) for r in records]) for name in names]
-    labels = np.array([r.ood_label for r in records])
-    risks = np.array([r.risk for r in records])
-    n = len(records)
-    out = np.empty((b, len(names)))
+    # holds a single class, then the public 1-D metric row by row.
+    n = len(target)
+    out = np.empty((b, len(scores)))
     redraws = 0
     for i in range(b):
         rng = stream(seed, 21, i)
         idx = rng.integers(0, n, size=n)
         if metric == "auroc":
-            while labels[idx].min() == labels[idx].max():
+            while target[idx].min() == target[idx].max():
                 redraws += 1
                 idx = rng.integers(0, n, size=n)
-            out[i] = [auroc(col[idx], labels[idx]) for col in cols]
+            out[i] = [auroc(row[idx], target[idx]) for row in scores]
         else:
-            out[i] = [eaurc(risks[idx], -col[idx]) for col in cols]
+            out[i] = [eaurc(target[idx], -row[idx]) for row in scores]
     return out, redraws
 
 
 def test_bootstrap_table_equals_reference_loop():
     rng = np.random.default_rng(31)
-    names = ("tied", "fine", "flat")
-    records = [
-        EvalRecord(
-            f"s{i}",
-            FeatureVector(names, np.array(
-                [float(rng.integers(0, 3)), rng.random(), 0.5])),
-            int(i == 0),                      # one positive: many redraws
-            float(np.round(rng.random(), 1)),
-        )
-        for i in range(9)
-    ]
-    for metric in ("auroc", "eaurc"):
-        table = bootstrap_table(records, list(names), metric, b=40, seed=5)
-        ref, redraws = _bootstrap_reference(records, names, metric, 40, 5)
+    # Rows "tied", "fine" and "flat", drawn per sample in that order.
+    scores = np.array([
+        [float(rng.integers(0, 3)), rng.random(), 0.5]
+        + [float(np.round(rng.random(), 1))]
+        for _ in range(9)
+    ])
+    risks = scores[:, 3]
+    scores = scores[:, :3].T
+    labels = (np.arange(9) == 0).astype(int)   # one positive: many redraws
+    for metric, target in (("auroc", labels), ("eaurc", risks)):
+        table = bootstrap_table(scores, target, metric, b=40, seed=5)
+        ref, redraws = _bootstrap_reference(scores, target, metric, 40, 5)
         if metric == "auroc":
             assert redraws > 0
-        for j, name in enumerate(names):
-            assert table[name].tobytes() == ref[:, j].tobytes()
+        assert table.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

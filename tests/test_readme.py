@@ -1,0 +1,19 @@
+"""Every fenced Python block of README.md runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _python_blocks(text):
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_python_blocks_run():
+    blocks = _python_blocks(README.read_text(encoding="utf-8"))
+    assert blocks, "README.md has no fenced Python block"
+    # One namespace for all blocks, in order, as in one interpreter session.
+    namespace = {"__name__": "__readme__"}
+    for i, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)

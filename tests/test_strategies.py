@@ -46,6 +46,23 @@ def test_canonicalization():
     assert parse_strategy("ent:8").key == "ent:8"
 
 
+
+def test_keys_keep_full_parameter_precision():
+    # Model JSON and FeatureSetSpec recompute features from keys, so a key
+    # must re-parse to the strategy it names.
+    rng = np.random.default_rng(3)
+    values = rng.random((8, 8))
+    values[:4, :4] = 0.12345675
+    u = validate_map(values)
+    for token in ("ata:0.1234567", "aqa:0.1234567", "eds:0.1234567"):
+        s = parse_strategy(token)
+        again = parse_strategy(s.key)
+        assert s.key == token
+        assert again.key == s.key
+        assert again(u) == s(u)
+    keys = [s.key for s in parse_strategy_list("aqa:0.1234567,aqa:0.1234568")]
+    assert keys == ["aqa:0.1234567", "aqa:0.1234568"]
+
 def test_parse_rejections():
     for bad in ("nope", "plm", "ata", "aqa", "gmm", ""):
         with pytest.raises((UnknownStrategy, InvalidParam)):
