@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import evaluation, io, meta, synth
-from .core import SegmentationMask, validate_map
+from .core import MapPass, SegmentationMask, validate_map
 from .errors import (
     MaskRequired,
     MissingColumn,
@@ -207,13 +207,12 @@ def _cmd_aggregate(args) -> int:
                 )
 
     def score_row(row: io.ManifestRow):
-        u = _load_map(manifest, row)
-        mask = _load_mask(manifest, row)
+        p = MapPass(_load_map(manifest, row), _load_mask(manifest, row))
         values = np.empty(len(strategies))
         notes = []
         for j, strat in enumerate(strategies):
             try:
-                values[j] = strat(u, mask)
+                values[j] = strat(p)
             except NoForeground as exc:
                 values[j] = math.nan
                 notes.append(f"sample {row.sample_id!r}, strategy {strat.key!r}: {exc}")

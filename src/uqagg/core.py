@@ -4,7 +4,8 @@ An uncertainty map is a rectangular grid of per-pixel uncertainty values in
 [0, 1]. A segmentation mask is an integer grid of class labels with one label
 reserved for background. A probability stack holds L sampled softmax outputs
 over K classes and reduces to an uncertainty map by averaging the samples and
-taking normalized Shannon entropy.
+taking normalized Shannon entropy. A map pass scores one map with several
+strategies and builds what they share once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     EmptyGrid,
     FeatureMismatch,
+    InvalidParam,
     InvalidStack,
     NonFinite,
     NonTwoDimensional,
@@ -110,6 +112,76 @@ def as_mask(raw, background_label: int = 0) -> SegmentationMask:
     if isinstance(raw, SegmentationMask):
         return raw
     return SegmentationMask(np.asarray(raw), background_label)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class MapPass:
+    """One map's scoring pass: the validated map, its mask (unchecked until a
+    strategy reads it) and the intermediates that several strategies share.
+
+    Each intermediate is built on first use and lives only as long as the
+    pass, so score a map through one pass and then drop it. A pass belongs to
+    one thread and takes no lock.
+    """
+
+    __slots__ = ("map", "mask", "_sorted", "_column_sums", "_tally", "_padded")
+
+    def __init__(self, u, mask=None):
+        self.map = validate_map(u)
+        self.mask = mask
+        self._sorted = self._column_sums = self._tally = self._padded = None
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.map.values
+
+    def sorted_values(self) -> np.ndarray:
+        """Every map value in ascending order, flat."""
+        if self._sorted is None:
+            self._sorted = _frozen(np.sort(self.map.values, axis=None))
+        return self._sorted
+
+    def column_sums(self) -> np.ndarray:
+        """Running sums down each column of the map."""
+        if self._column_sums is None:
+            self._column_sums = _frozen(np.cumsum(self.map.values, axis=0))
+        return self._column_sums
+
+    def class_tally(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Map-value sums and pixel counts per mask label, and the background label.
+
+        Raises ShapeMismatch when the mask's shape differs from the map's.
+        """
+        if self._tally is None:
+            mask = as_mask(self.mask)
+            if mask.shape != self.map.shape:
+                raise ShapeMismatch(f"map {self.map.shape} vs mask {mask.shape}")
+            labels = mask.labels.ravel()
+            sums = np.bincount(labels, weights=self.map.values.ravel())
+            self._tally = (sums, np.bincount(labels), mask.background_label)
+        return self._tally
+
+    def padded(self) -> np.ndarray:
+        """The map edge-replicated by two pixels on every side.
+
+        Its inner view ``padded()[1:-1, 1:-1]`` holds the one-pixel pad.
+        """
+        if self._padded is None:
+            self._padded = _frozen(np.pad(self.map.values, 2, mode="edge"))
+        return self._padded
+
+
+def as_pass(u, mask=None) -> MapPass:
+    """``u`` when it already is a pass, else a new pass over ``u`` and ``mask``."""
+    if isinstance(u, MapPass):
+        if mask is not None and mask is not u.mask:
+            raise InvalidParam("a MapPass carries its own mask; pass no other")
+        return u
+    return MapPass(u, mask)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,5 +162,9 @@ class DuplicateId(UqaggError):
     """The same sample id appears twice."""
 
 
+class DuplicateColumn(UqaggError):
+    """A CSV header names the same column twice."""
+
+
 class MissingFile(UqaggError):
     """A referenced file does not exist."""

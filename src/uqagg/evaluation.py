@@ -35,6 +35,8 @@ DEFAULT_BOOTSTRAP = 500
 _WILCOXON_EXACT_MAX = 25
 _REDRAW_LIMIT = 100
 _LANE_BOOTSTRAP = 21
+# Tied pairs named in significance_matrix's one warning; the rest are counted.
+_TIES_NAMED = 3
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
@@ -359,7 +361,8 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     ``samples`` holds paired per-resample metric values per strategy. Entry
     (A, B) tests whether A's values exceed B's (or fall below, for
     direction='lower'). Pairs with no nonzero difference, including the
-    diagonal, are reported as 1.0 with a warning.
+    diagonal, are reported as 1.0; one warning per call counts the off-diagonal
+    ones and names the first few.
     """
     if direction not in ("higher", "lower"):
         raise InvalidParam(f"direction must be 'higher' or 'lower', got {direction!r}")
@@ -372,6 +375,7 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
         if len(v) != length:
             raise LengthMismatch(f"strategy {name!r} has {len(v)} samples, not {length}")
     p = np.ones((len(names), len(names)))
+    tied = []
     for i, vi in enumerate(vectors):
         for j, vj in enumerate(vectors):
             if i == j:
@@ -380,11 +384,13 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
             try:
                 p[i, j] = wilcoxon_one_sided(diffs)
             except AllZeroDifferences:
-                warnings.warn(
-                    f"no nonzero differences between {names[i]!r} and "
-                    f"{names[j]!r}; reporting p = 1.0",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                p[i, j] = 1.0
+                tied.append(f"{names[i]!r} vs {names[j]!r}")
+    if tied:
+        more = f" and {len(tied) - _TIES_NAMED} more" if len(tied) > _TIES_NAMED else ""
+        warnings.warn(
+            f"{len(tied)} ordered pairs have no nonzero differences "
+            f"({', '.join(tied[:_TIES_NAMED])}{more}); reporting p = 1.0 for them",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return names, p

@@ -5,6 +5,10 @@ mean, above-threshold average, above-quantile average. Prediction-based
 reductions additionally use a segmentation mask: per-class averages combined
 with equal or area-proportional weights, and the foreground-sized top fraction
 of the whole map.
+
+Every reduction takes a raw grid, an UncertaintyMap or a MapPass. Through one
+MapPass, the top-k reductions share one sort, the patch means one column
+running sum, and the class reductions one per-label tally.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .core import as_mask, validate_map
+from .core import as_pass
 from .errors import (
     InvalidParam,
     InvalidQuantile,
     InvalidThreshold,
     NoForeground,
     PatchTooLarge,
-    ShapeMismatch,
 )
 
 # Counts k = ceil(x) snap down when x sits within this slack of an integer, so
@@ -37,26 +40,28 @@ def _top_k_count(fraction_times_pixels: float, total: int) -> int:
 
 def avg(u) -> float:
     """Global mean of the map."""
-    return float(validate_map(u).values.mean())
+    return float(as_pass(u).values.mean())
 
 
 def plm(u, patch: int) -> float:
     """Largest mean over all patch x patch windows fully inside the map.
 
-    Window sums come from two 1-D running sums (a column pass, then a row
-    pass), so the cost is O(m * n) for any patch. Its running sums stay far
+    Window sums come from two 1-D running sums (a column pass, which every
+    patch size scored through one MapPass shares, then a row pass), so the
+    cost is O(m * n) for any patch. Its running sums stay far
     smaller than those of one 2-D summed-area table, so cancellation costs
     less. A difference of running sums can still land a rounding step above
     the true window sum, so the result is capped at the map maximum, which no
     window mean exceeds.
     """
-    vals = validate_map(u).values
+    p = as_pass(u)
+    vals = p.values
     if not isinstance(patch, (int, np.integer)) or patch < 1:
         raise InvalidParam(f"patch must be a positive integer, got {patch!r}")
     m, n = vals.shape
     if patch > min(m, n):
         raise PatchTooLarge(f"patch {patch} exceeds map extent {m}x{n}")
-    csum = np.cumsum(vals, axis=0)
+    csum = p.column_sums()
     cols = csum[patch - 1 :].copy()  # sums over `patch` consecutive rows
     cols[1:] -= csum[:-patch]
     csum = np.cumsum(cols, axis=1)
@@ -67,7 +72,7 @@ def plm(u, patch: int) -> float:
 
 def ata(u, threshold: float) -> float:
     """Mean of the values strictly above ``threshold``; 0.0 if none qualify."""
-    vals = validate_map(u).values
+    vals = as_pass(u).values
     if not (0.0 <= threshold <= 1.0):
         raise InvalidThreshold(f"threshold must lie in [0, 1], got {threshold!r}")
     above = vals[vals > threshold]
@@ -78,13 +83,12 @@ def ata(u, threshold: float) -> float:
 
 def aqa(u, q: float) -> float:
     """Mean of the top ceil((1 - q) * m * n) values of the map."""
-    vals = validate_map(u).values
+    p = as_pass(u)
     if not (0.0 <= q <= 1.0):
         raise InvalidQuantile(f"quantile must lie in [0, 1], got {q!r}")
-    total = vals.size
+    total = p.values.size
     k = _top_k_count((1.0 - q) * total, total)
-    flat = np.sort(vals, axis=None)
-    return float(flat[total - k :].mean())
+    return float(p.sorted_values()[total - k :].mean())
 
 
 class ClassAverage(NamedTuple):
@@ -106,21 +110,15 @@ def class_averages(u, mask) -> ClassAverages:
     Raises ShapeMismatch when map and mask shapes differ and NoForeground
     when every pixel carries the background label.
     """
-    u = validate_map(u)
-    mask = as_mask(mask)
-    if u.shape != mask.shape:
-        raise ShapeMismatch(f"map {u.shape} vs mask {mask.shape}")
-    labels = mask.labels.ravel()
-    sums = np.bincount(labels, weights=u.values.ravel())
-    counts = np.bincount(labels)
+    sums, counts, background = as_pass(u, mask).class_tally()
     per_class: dict[int, ClassAverage] = {}
     for c in np.nonzero(counts)[0]:
-        if c == mask.background_label:
+        if c == background:
             continue
         per_class[int(c)] = ClassAverage(float(sums[c] / counts[c]), int(counts[c]))
     if not per_class:
         raise NoForeground("mask contains only background pixels")
-    return ClassAverages(per_class, mask.background_label)
+    return ClassAverages(per_class, background)
 
 
 def wca(u, mask, weights: Mapping[int, float]) -> float:
@@ -164,14 +162,11 @@ def qfr(u, mask) -> float:
     reduction averages the top ceil((f / (m*n)) * m*n) values of the whole
     map, foreground or not.
     """
-    u = validate_map(u)
-    mask = as_mask(mask)
-    if u.shape != mask.shape:
-        raise ShapeMismatch(f"map {u.shape} vs mask {mask.shape}")
-    fg = int(mask.foreground().sum())
+    p = as_pass(u, mask)
+    _, counts, background = p.class_tally()
+    total = p.values.size
+    fg = total - (int(counts[background]) if background < counts.size else 0)
     if fg == 0:
         raise NoForeground("mask contains only background pixels")
-    total = u.values.size
     k = _top_k_count((fg / total) * total, total)
-    flat = np.sort(u.values, axis=None)
-    return float(flat[total - k :].mean())
+    return float(p.sorted_values()[total - k :].mean())

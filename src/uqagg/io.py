@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    DuplicateColumn,
     DuplicateId,
     FortranOrderUnsupported,
     MissingColumn,
@@ -255,7 +256,10 @@ def write_scores(path, sample_ids, strategy_names, values) -> None:
 
 
 def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a score table back; empty cells become NaN."""
+    """Read a score table back; empty cells become NaN.
+
+    Raises DuplicateColumn when the header names a column twice.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -264,6 +268,9 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
             raise MissingColumn(f"{path}: empty score table") from None
         if not header or header[0] != "sample_id":
             raise MissingColumn(f"{path}: first column must be sample_id")
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise DuplicateColumn(f"{path}: column {name!r} appears twice")
         names = header[1:]
         ids: list[str] = []
         rows: list[list[float]] = []

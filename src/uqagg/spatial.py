@@ -13,6 +13,11 @@ border windows are full) and produces a per-pixel weight in [0, 1]:
 The weight map splits the uncertainty mass into a structured part U * W and an
 unstructured part U * (1 - W); the scalar reduction is the mass fraction
 sum(U * W) / sum(U).
+
+All three measures read one edge-replicated pad of the map, built once per
+MapPass (``eds`` needs two rings, the others its inner one-ring view), and
+compute their weights over row strips sized to stay in cache. Halo rows give
+every strip pixel its full window, so the weights do not depend on the strips.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UncertaintyMap, validate_map
+from .core import MapPass, UncertaintyMap, as_pass, validate_map
 from .errors import InvalidParam, ShapeMismatch
 
 DEFAULT_EDGE_TAU = 0.2
@@ -72,6 +77,42 @@ _SHARES = np.arange(10) / 9.0
 with np.errstate(divide="ignore", invalid="ignore"):
     _PLOGP = np.where(_SHARES > 0.0, _SHARES * np.log(_SHARES), 0.0)
 
+# Pixels per row strip of the weight kernels. Rule: one strip's live
+# temporaries fit in a 2 MiB L2 cache. The largest kernel, Moran, keeps about
+# 13 strip-sized float64 arrays live beside its input rows and its output, 16
+# in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
+_STRIP_PIXELS = 16384
+
+
+def check_edge_tau(tau) -> float:
+    """``tau`` when it is a valid eds gradient threshold, in (0, 1)."""
+    if not (0.0 < tau < 1.0):
+        raise InvalidParam(f"eds threshold must lie in (0, 1), got {tau!r}")
+    return tau
+
+
+def check_entropy_bins(bins) -> int:
+    """``bins`` when it is a valid ent bin count, an integer >= 2."""
+    if not isinstance(bins, (int, np.integer)) or bins < 2:
+        raise InvalidParam(f"ent bin count must be an integer >= 2, got {bins!r}")
+    return bins
+
+
+def _by_strips(padded: np.ndarray, ring: int, kernel, *args) -> np.ndarray:
+    """Weights of a map padded by ``ring`` pixels, one row strip at a time.
+
+    ``kernel`` maps a padded strip (its rows plus ``ring`` halo rows above and
+    below) to the weights of the strip's rows, so each pixel sees the same
+    window and the same arithmetic as in one whole-map pass.
+    """
+    m, n = padded.shape[0] - 2 * ring, padded.shape[1] - 2 * ring
+    out = np.empty((m, n))
+    rows = max(1, _STRIP_PIXELS // n)
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        out[r0:r1] = kernel(padded[r0 : r1 + 2 * ring], *args)
+    return out
+
 
 def _views9(padded: np.ndarray) -> list[np.ndarray]:
     """The nine cells of every pixel's 3x3 window, as shifted views of the
@@ -90,8 +131,8 @@ def _box3_count(flags: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _moran_weights(vals: np.ndarray) -> np.ndarray:
-    cells = _views9(np.pad(vals, 1, mode="edge"))
+def _moran_strip(padded: np.ndarray) -> np.ndarray:
+    cells = _views9(padded)
     mean = cells[0].copy()
     for cell in cells[1:]:
         mean += cell
@@ -128,36 +169,45 @@ def _sobel_magnitude(padded: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def _eds_weights(vals: np.ndarray, tau: float) -> np.ndarray:
-    if not (0.0 < tau < 1.0):
-        raise InvalidParam(f"edge threshold must lie in (0, 1), got {tau!r}")
-    # Two replicate rings: the outer one feeds the Sobel pass so gradients
-    # exist on the ring the window sweep sees.
-    padded = np.pad(vals, 2, mode="edge")
+def _eds_strip(padded: np.ndarray, tau: float) -> np.ndarray:
+    # ``padded`` carries two replicate rings: the outer one feeds the Sobel
+    # pass so gradients exist on the ring the window sweep sees.
     return _box3_count(_sobel_magnitude(padded) > tau) / 9.0
 
 
-def _entropy_weights(vals: np.ndarray, bins: int) -> np.ndarray:
-    if not isinstance(bins, (int, np.integer)) or bins < 2:
-        raise InvalidParam(f"bin count must be an integer >= 2, got {bins!r}")
-    padded = np.pad(vals, 1, mode="edge")
+def _entropy_strip(padded: np.ndarray, bins: int) -> np.ndarray:
     # Equal-width bins on [0, 1], half-open except the last one.
     idx = np.minimum((padded * bins).astype(np.int64), bins - 1)
-    counts = np.stack([_box3_count(idx == b) for b in range(bins)], axis=-1)
-    ent = -_PLOGP[counts].sum(axis=-1) / np.log(bins)
+    acc = _PLOGP[_box3_count(idx == 0)]
+    for b in range(1, bins):
+        acc += _PLOGP[_box3_count(idx == b)]
+    ent = -acc / np.log(bins)
     return np.clip(ent, 0.0, 1.0)
+
+
+def _moran_weights(p: MapPass) -> np.ndarray:
+    return _by_strips(p.padded()[1:-1, 1:-1], 1, _moran_strip)
+
+
+def _eds_weights(p: MapPass, tau: float) -> np.ndarray:
+    return _by_strips(p.padded(), 2, _eds_strip, check_edge_tau(tau))
+
+
+def _entropy_weights(p: MapPass, bins: int) -> np.ndarray:
+    return _by_strips(p.padded()[1:-1, 1:-1], 1, _entropy_strip,
+                      check_entropy_bins(bins))
 
 
 def spatial_weight_map(u, measure: str, *, tau: float = DEFAULT_EDGE_TAU,
                        bins: int = DEFAULT_ENTROPY_BINS) -> WeightMap:
     """Compute the per-pixel weight map for one spatial measure."""
-    vals = validate_map(u).values
+    p = as_pass(u)
     if measure == "moran":
-        return WeightMap(_moran_weights(vals), measure)
+        return WeightMap(_moran_weights(p), measure)
     if measure == "eds":
-        return WeightMap(_eds_weights(vals, tau), measure, {"tau": tau})
+        return WeightMap(_eds_weights(p, tau), measure, {"tau": tau})
     if measure == "entropy":
-        return WeightMap(_entropy_weights(vals, bins), measure, {"bins": bins})
+        return WeightMap(_entropy_weights(p, bins), measure, {"bins": bins})
     raise InvalidParam(f"unknown spatial measure {measure!r}; pick from {_MEASURES}")
 
 
@@ -171,6 +221,18 @@ def spatial_decompose(u, w: WeightMap) -> tuple[UncertaintyMap, UncertaintyMap]:
     return high, low
 
 
+def _mass_ratio(vals: np.ndarray, weights: np.ndarray) -> float:
+    total = float(vals.sum())
+    if total == 0.0:
+        warnings.warn(
+            "spatial mass ratio of an all-zero map is defined as 0.0",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return 0.0
+    return float((vals * weights).sum() / total)
+
+
 def smr(u, w: WeightMap) -> float:
     """Fraction of the uncertainty mass that falls on high-weight pixels.
 
@@ -180,27 +242,22 @@ def smr(u, w: WeightMap) -> float:
     u = validate_map(u)
     if u.shape != w.shape:
         raise ShapeMismatch(f"map {u.shape} vs weight map {w.shape}")
-    total = float(u.values.sum())
-    if total == 0.0:
-        warnings.warn(
-            "spatial mass ratio of an all-zero map is defined as 0.0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return float((u.values * w.weights).sum() / total)
+    return _mass_ratio(u.values, w.weights)
 
 
 def mor(u) -> float:
     """Mass fraction on positively autocorrelated pixels (windowed Moran's I)."""
-    return smr(u, spatial_weight_map(u, "moran"))
+    p = as_pass(u)
+    return _mass_ratio(p.values, _moran_weights(p))
 
 
 def eds(u, tau: float = DEFAULT_EDGE_TAU) -> float:
     """Mass fraction on edge-dense pixels (Sobel magnitude above ``tau``)."""
-    return smr(u, spatial_weight_map(u, "eds", tau=tau))
+    p = as_pass(u)
+    return _mass_ratio(p.values, _eds_weights(p, tau))
 
 
 def ent(u, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     """Mass fraction on locally heterogeneous pixels (windowed entropy)."""
-    return smr(u, spatial_weight_map(u, "entropy", bins=bins))
+    p = as_pass(u)
+    return _mass_ratio(p.values, _entropy_weights(p, bins))

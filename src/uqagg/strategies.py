@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import intensity, spatial
-from .core import FeatureMatrix, validate_map
+from .core import FeatureMatrix, MapPass, as_pass, validate_map
 from .errors import (
     DuplicateStrategy,
     InvalidParam,
@@ -66,11 +66,14 @@ class Strategy:
     _fn: Callable
 
     def __call__(self, u, mask=None) -> float:
-        if self.requires_mask and mask is None:
+        """Score one map; ``u`` may be a MapPass that carries the mask and
+        the intermediates shared with the other strategies of its map."""
+        p = as_pass(u, mask)
+        if self.requires_mask and p.mask is None:
             raise MaskRequired(f"strategy {self.key!r} needs a segmentation mask")
         if self.requires_mask:
-            return self._fn(u, mask)
-        return self._fn(u)
+            return self._fn(p, p.mask)
+        return self._fn(p)
 
 
 def _fmt(value: float) -> str:
@@ -124,15 +127,13 @@ def parse_strategy(token: str) -> Strategy:
             raise InvalidQuantile(f"aqa quantile must lie in (0, 1), got {q!r}")
         return Strategy(f"aqa:{_fmt(q)}", False, lambda u, q=q: intensity.aqa(u, q))
     if name == "eds":
-        tau = _parse_float("eds", arg) if sep else spatial.DEFAULT_EDGE_TAU
-        if not (0.0 < tau < 1.0):
-            raise InvalidParam(f"eds threshold must lie in (0, 1), got {tau!r}")
+        tau = spatial.check_edge_tau(
+            _parse_float("eds", arg) if sep else spatial.DEFAULT_EDGE_TAU)
         key = "eds" if tau == spatial.DEFAULT_EDGE_TAU else f"eds:{_fmt(tau)}"
         return Strategy(key, False, lambda u, t=tau: spatial.eds(u, t))
     if name == "ent":
-        bins = _parse_int("ent", arg) if sep else spatial.DEFAULT_ENTROPY_BINS
-        if bins < 2:
-            raise InvalidParam(f"ent bin count must be >= 2, got {bins}")
+        bins = spatial.check_entropy_bins(
+            _parse_int("ent", arg) if sep else spatial.DEFAULT_ENTROPY_BINS)
         key = "ent" if bins == spatial.DEFAULT_ENTROPY_BINS else f"ent:{bins}"
         return Strategy(key, False, lambda u, b=bins: spatial.ent(u, b))
     if name == "gmm":
@@ -149,9 +150,8 @@ def _gmm_strategy(path: str) -> Strategy:
     subs = [parse_strategy(s) for s in model.feature_spec.strategies]
     needs_mask = any(s.requires_mask for s in subs)
 
-    def score(u, mask=None):
-        values = [s(u, mask) if s.requires_mask else s(u) for s in subs]
-        return meta.meta_score(model, np.asarray(values))
+    def score(p, *_):  # the pass carries the mask
+        return meta.meta_score(model, np.asarray([s(p) for s in subs]))
 
     return Strategy(f"gmm:{path}", needs_mask, score)
 
@@ -177,7 +177,9 @@ def parse_strategy_list(spec: str | Sequence[str]) -> list[Strategy]:
 def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> FeatureMatrix:
     """Aggregate every map with every strategy into a feature matrix.
 
-    ``masks`` must be given (one per map) when any strategy needs one.
+    Each map is scored through one MapPass, so its strategies share the
+    intermediates they have in common. ``masks`` must be given (one per map)
+    when any strategy needs one.
     Per-sample errors (e.g. NoForeground) propagate; callers that want to
     tolerate them should loop themselves.
     """
@@ -192,6 +194,7 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
         raise InvalidParam(f"{len(maps)} maps but {len(masks)} masks")
     rows = np.empty((len(maps), len(strategies)), dtype=np.float64)
     for i, (u, m) in enumerate(zip(maps, masks)):
+        p = MapPass(u, m)
         for j, strat in enumerate(strategies):
-            rows[i, j] = strat(u, m)
+            rows[i, j] = strat(p)
     return FeatureMatrix(tuple(s.key for s in strategies), rows)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from uqagg import bootstrap_table, read_scores, write_npy, write_scores
+from uqagg import FULL_SET, bootstrap_table, read_scores, write_npy, write_scores
 from uqagg.io import ManifestRow, _fmt_float, read_manifest, write_manifest
 
 
@@ -474,3 +474,61 @@ def test_missing_feature_column_exits_4_and_names_it(tmp_path):
     assert res.returncode == 4
     assert "'mor'" in res.stderr
     assert not (tmp_path / "scored.csv").exists()
+
+
+def test_eval_rejects_a_repeated_score_column(tmp_path):
+    _table_with_gaps(tmp_path, gaps=())
+    rows = _read_rows(tmp_path / "scores.csv")
+    with open(tmp_path / "dup.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["sample_id", "avg", "avg"]]
+            + [[row[0], row[1], row[2]] for row in rows[1:]]
+        )
+    res = run_cli(
+        "eval", "--scores", str(tmp_path / "dup.csv"), "--manifest",
+        str(tmp_path / "m.csv"), "--task", "ood", "--bootstrap", "5",
+        "--out-prefix", str(tmp_path / "e"),
+    )
+    assert res.returncode == 4
+    assert "'avg'" in res.stderr and "twice" in res.stderr
+    assert not (tmp_path / "e.samples.csv").exists()
+
+
+def test_rank_warns_once_for_all_tied_pairs(tmp_path):
+    path = tmp_path / "ds.samples.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c", "d"])
+        for i in range(12):
+            v = _fmt_float(0.5 + 0.01 * i)
+            writer.writerow([v, v, v, _fmt_float(0.4 + 0.02 * (i % 5))])
+    res = run_cli(
+        "rank", "--inputs", str(path), "--metric", "auroc",
+        "--out-prefix", str(tmp_path / "rk"),
+    )
+    assert res.returncode == 0, res.stderr
+    warned = [line for line in res.stderr.splitlines() if "RuntimeWarning" in line]
+    assert len(warned) == 1
+    # a, b and c tie in 6 ordered pairs; d differs from each of them
+    assert "6 ordered pairs" in warned[0] and "'a' vs 'b'" in warned[0]
+
+
+def test_aggregate_jobs_identical_on_multi_strip_maps(tmp_path):
+    # 300x200 maps span several row strips of the spatial kernels
+    bench = tmp_path / "bench"
+    res = run_cli(
+        "synth", "--out-dir", str(bench), "--n-iid", "3", "--n-ood", "3",
+        "--size", "300", "200", "--seed", "5", "--with-masks",
+    )
+    assert res.returncode == 0, res.stderr
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"scores_{jobs}.csv"
+        res = run_cli(
+            "aggregate", "--manifest", str(bench / "manifest.csv"),
+            "--strategies", ",".join(FULL_SET), "--out", str(out), "--jobs", jobs,
+        )
+        assert res.returncode == 0, res.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(_read_rows(tmp_path / "scores_1.csv")) == 7

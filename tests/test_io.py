@@ -19,6 +19,7 @@ from uqagg import (
 )
 from uqagg.errors import (
     BadMagic,
+    DuplicateColumn,
     DuplicateId,
     FortranOrderUnsupported,
     MissingColumn,
@@ -355,6 +356,16 @@ def test_scores_duplicate_id_rejected(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("sample_id,avg\na,0.5\na,0.6\n")
     with pytest.raises(DuplicateId):
+        read_scores(path)
+
+
+def test_scores_duplicate_column_rejected_and_named(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,avg,mor,avg\na,0.5,0.1,0.6\n")
+    with pytest.raises(DuplicateColumn, match="'avg'"):
+        read_scores(path)
+    path.write_text("sample_id,avg,sample_id\na,0.5,b\n")
+    with pytest.raises(DuplicateColumn, match="'sample_id'"):
         read_scores(path)
 
 
