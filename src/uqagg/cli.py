@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage errors, 3 missing or unreadable files,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -26,7 +25,6 @@ from .errors import (
     MaskRequired,
     MissingColumn,
     MissingFile,
-    NoForeground,
     ParseError,
     UqaggError,
 )
@@ -40,7 +38,7 @@ from .meta import (
     DEFAULT_TOL,
     FeatureSetSpec,
 )
-from .strategies import parse_strategy_list
+from .strategies import parse_strategy_list, score_map
 
 _EXIT_IO = 3
 _EXIT_DATA = 4
@@ -208,20 +206,10 @@ def _cmd_aggregate(args) -> int:
 
     def score_row(row: io.ManifestRow):
         p = MapPass(_load_map(manifest, row), _load_mask(manifest, row))
-        values = np.empty(len(strategies))
-        notes = []
-        for j, strat in enumerate(strategies):
-            try:
-                values[j] = strat(p)
-            except NoForeground as exc:
-                values[j] = math.nan
-                notes.append(f"sample {row.sample_id!r}, strategy {strat.key!r}: {exc}")
-            except UqaggError as exc:
-                raise _CliFailure(
-                    _EXIT_DATA,
-                    f"sample {row.sample_id!r}, strategy {strat.key!r}: {exc}",
-                )
-        return values, notes
+        try:
+            return score_map(p, strategies)
+        except UqaggError as exc:
+            raise _CliFailure(_EXIT_DATA, f"sample {row.sample_id!r}, {exc}") from None
 
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -230,11 +218,10 @@ def _cmd_aggregate(args) -> int:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(score_row, manifest.rows))
 
-    warning_count = 0
-    for _, notes in results:
-        for note in notes:
-            warning_count += 1
-            print(f"warning: {note}", file=sys.stderr)
+    for row, (_, skipped) in zip(manifest.rows, results):
+        for _, exc in skipped:
+            print(f"warning: sample {row.sample_id!r}, {exc}", file=sys.stderr)
+    warning_count = sum(len(skipped) for _, skipped in results)
     matrix = np.vstack([values for values, _ in results])
     io.write_scores(
         args.out,
@@ -365,53 +352,22 @@ def _cmd_eval(args) -> int:
     )
     dataset = args.dataset or os.path.splitext(os.path.basename(args.manifest))[0]
 
-    with open(f"{args.out_prefix}.summary.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "dataset", "metric", "mean", "std"])
-        for j, name in enumerate(names):
-            # Mean and std of a contiguous copy: a strided or 2-D reduction
-            # can sum in a different order.
-            samples = table[:, j].copy()
-            writer.writerow([
-                name, dataset, metric,
-                io._fmt_float(samples.mean()), io._fmt_float(samples.std()),
-            ])
-    with open(f"{args.out_prefix}.samples.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in table:
-            writer.writerow([io._fmt_float(v) for v in row])
+    # Mean and std of a contiguous copy of each column: a strided or 2-D
+    # reduction can sum in a different order.
+    io.write_table(
+        f"{args.out_prefix}.summary.csv",
+        ["strategy", "dataset", "metric", "mean", "std"],
+        ([name, dataset, metric, io._fmt_float(col.mean()), io._fmt_float(col.std())]
+         for name, col in zip(names, table.T.copy())),
+    )
+    io.write_table(f"{args.out_prefix}.samples.csv", names,
+                   ([io._fmt_float(v) for v in row] for row in table))
     print(
         f"evaluated {metric} for {len(names)} strategies on {len(kept)} samples "
         f"({args.bootstrap} bootstrap resamples)",
         file=sys.stderr,
     )
     return 0
-
-
-def _read_samples_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty samples table") from None
-        rows = []
-        for i, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ParseError(
-                    f"{path} row {i}: expected {len(header)} cells, got {len(rec)}"
-                )
-            try:
-                rows.append([float(c) for c in rec])
-            except ValueError as exc:
-                raise ParseError(f"{path} row {i}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{path}: no sample rows")
-    matrix = np.array(rows)
-    return {name: matrix[:, j] for j, name in enumerate(header)}
 
 
 def _cmd_rank(args) -> int:
@@ -429,7 +385,7 @@ def _cmd_rank(args) -> int:
     tables = {}
     pooled: dict[str, list[np.ndarray]] = {}
     for dataset, path in datasets.items():
-        samples = _read_samples_csv(path)
+        samples = io.read_samples(path)
         tables[dataset] = {name: float(v.mean()) for name, v in samples.items()}
         for name, v in samples.items():
             pooled.setdefault(name, []).append(v)
@@ -438,17 +394,12 @@ def _cmd_rank(args) -> int:
     merged = {name: np.concatenate(chunks) for name, chunks in pooled.items()}
     names, pvals = evaluation.significance_matrix(merged, direction)
 
-    with open(f"{args.out_prefix}.ranks.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "mean_rank"])
-        for name in sorted(ranks, key=lambda n: (ranks[n], n)):
-            writer.writerow([name, io._fmt_float(ranks[name])])
-    with open(f"{args.out_prefix}.pvalues.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", *names])
-        for i, name in enumerate(names):
-            writer.writerow([name, *(io._fmt_float(p) for p in pvals[i])])
+    io.write_table(f"{args.out_prefix}.ranks.csv", ["strategy", "mean_rank"],
+                   ([name, io._fmt_float(ranks[name])]
+                    for name in sorted(ranks, key=lambda n: (ranks[n], n))))
+    io.write_table(f"{args.out_prefix}.pvalues.csv", ["strategy", *names],
+                   ([name, *(io._fmt_float(p) for p in row)]
+                    for name, row in zip(names, pvals)))
 
     for i, a in enumerate(names):
         for j, b in enumerate(names):

@@ -47,11 +47,11 @@ class PatchTooLarge(UqaggError):
 
 
 class InvalidThreshold(UqaggError):
-    """Threshold outside the open interval (0, 1)."""
+    """Threshold outside the closed interval [0, 1]."""
 
 
 class InvalidQuantile(UqaggError):
-    """Quantile outside the open interval (0, 1)."""
+    """Quantile outside the closed interval [0, 1]."""
 
 
 class NoForeground(UqaggError):

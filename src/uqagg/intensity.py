@@ -38,6 +38,27 @@ def _top_k_count(fraction_times_pixels: float, total: int) -> int:
     return min(max(k, 1), total)
 
 
+def check_patch(patch) -> int:
+    """``patch`` when it is a valid plm patch edge, an integer >= 1."""
+    if not isinstance(patch, (int, np.integer)) or patch < 1:
+        raise InvalidParam(f"plm patch must be an integer >= 1, got {patch!r}")
+    return patch
+
+
+def check_threshold(threshold) -> float:
+    """``threshold`` when it is a valid ata threshold, in [0, 1]."""
+    if not (0.0 <= threshold <= 1.0):
+        raise InvalidThreshold(f"ata threshold must lie in [0, 1], got {threshold!r}")
+    return threshold
+
+
+def check_quantile(q) -> float:
+    """``q`` when it is a valid aqa quantile, in [0, 1]."""
+    if not (0.0 <= q <= 1.0):
+        raise InvalidQuantile(f"aqa quantile must lie in [0, 1], got {q!r}")
+    return q
+
+
 def avg(u) -> float:
     """Global mean of the map."""
     return float(as_pass(u).values.mean())
@@ -56,8 +77,7 @@ def plm(u, patch: int) -> float:
     """
     p = as_pass(u)
     vals = p.values
-    if not isinstance(patch, (int, np.integer)) or patch < 1:
-        raise InvalidParam(f"patch must be a positive integer, got {patch!r}")
+    patch = check_patch(patch)
     m, n = vals.shape
     if patch > min(m, n):
         raise PatchTooLarge(f"patch {patch} exceeds map extent {m}x{n}")
@@ -73,9 +93,7 @@ def plm(u, patch: int) -> float:
 def ata(u, threshold: float) -> float:
     """Mean of the values strictly above ``threshold``; 0.0 if none qualify."""
     vals = as_pass(u).values
-    if not (0.0 <= threshold <= 1.0):
-        raise InvalidThreshold(f"threshold must lie in [0, 1], got {threshold!r}")
-    above = vals[vals > threshold]
+    above = vals[vals > check_threshold(threshold)]
     if above.size == 0:
         return 0.0
     return float(above.mean())
@@ -84,10 +102,8 @@ def ata(u, threshold: float) -> float:
 def aqa(u, q: float) -> float:
     """Mean of the top ceil((1 - q) * m * n) values of the map."""
     p = as_pass(u)
-    if not (0.0 <= q <= 1.0):
-        raise InvalidQuantile(f"quantile must lie in [0, 1], got {q!r}")
     total = p.values.size
-    k = _top_k_count((1.0 - q) * total, total)
+    k = _top_k_count((1.0 - check_quantile(q)) * total, total)
     return float(p.sorted_values()[total - k :].mean())
 
 

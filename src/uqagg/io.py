@@ -219,23 +219,24 @@ def read_manifest(path, *, check_files: bool = True) -> Manifest:
 
 
 def write_manifest(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "map_path", "mask_path", "ood_label", "risk"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.sample_id,
-                    r.map_path,
-                    r.mask_path or "",
-                    "" if r.ood_label is None else r.ood_label,
-                    "" if r.risk is None else _fmt_float(r.risk),
-                ]
-            )
+    write_table(path, ["sample_id", "map_path", "mask_path", "ood_label", "risk"], (
+        [r.sample_id, r.map_path, r.mask_path or "",
+         "" if r.ood_label is None else r.ood_label,
+         "" if r.risk is None else _fmt_float(r.risk)]
+        for r in rows
+    ))
 
 
 def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the header row, then each of ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_scores(path, sample_ids, strategy_names, values) -> None:
@@ -246,13 +247,42 @@ def write_scores(path, sample_ids, strategy_names, values) -> None:
             f"score table shape {arr.shape} does not match "
             f"{len(sample_ids)} ids x {len(strategy_names)} strategies"
         )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", *strategy_names])
-        for sid, row in zip(sample_ids, arr):
-            writer.writerow(
-                [sid, *("" if math.isnan(v) else _fmt_float(v) for v in row)]
-            )
+    write_table(path, ["sample_id", *strategy_names], (
+        [sid, *("" if math.isnan(v) else _fmt_float(v) for v in row)]
+        for sid, row in zip(sample_ids, arr)
+    ))
+
+
+def _read_table(path, what) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and data rows of a CSV table, each row with its line number.
+
+    Raises MissingColumn for an empty file, DuplicateColumn for a repeated
+    header name and ParseError for a row of another width."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumn(f"{path}: empty {what} table") from None
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise DuplicateColumn(f"{path}: column {name!r} appears twice")
+        rows = []
+        for i, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise ParseError(
+                    f"{path} row {i}: expected {len(header)} cells, got {len(rec)}"
+                )
+            rows.append((i, rec))
+    return header, rows
+
+
+def _parse_row(path, row: int, cells) -> list[float]:
+    """The cells of one data row as floats; an empty cell is NaN."""
+    try:
+        return [float(cell) if cell else math.nan for cell in cells]
+    except ValueError as exc:
+        raise ParseError(f"{path} row {row}: {exc}") from None
 
 
 def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -260,40 +290,31 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
 
     Raises DuplicateColumn when the header names a column twice.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty score table") from None
-        if not header or header[0] != "sample_id":
-            raise MissingColumn(f"{path}: first column must be sample_id")
-        for j, name in enumerate(header):
-            if name in header[:j]:
-                raise DuplicateColumn(f"{path}: column {name!r} appears twice")
-        names = header[1:]
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        for i, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ParseError(f"row {i}: expected {len(header)} cells, got {len(rec)}")
-            sid = rec[0]
-            if sid in seen:
-                raise DuplicateId(f"{path}: sample_id {sid!r} appears twice")
-            seen.add(sid)
-            ids.append(sid)
-            row = []
-            for name, cell in zip(names, rec[1:]):
-                if cell == "":
-                    row.append(math.nan)
-                    continue
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"row {i}, column {name}: expected a number, got {cell!r}"
-                    ) from None
-            rows.append(row)
-    matrix = np.array(rows, dtype=np.float64).reshape(len(ids), len(names))
+    header, rows = _read_table(path, "score")
+    if not header or header[0] != "sample_id":
+        raise MissingColumn(f"{path}: first column must be sample_id")
+    names = header[1:]
+    ids: list[str] = []
+    values: list[list[float]] = []
+    seen: set[str] = set()
+    for i, rec in rows:
+        sid = rec[0]
+        if sid in seen:
+            raise DuplicateId(f"{path}: sample_id {sid!r} appears twice")
+        seen.add(sid)
+        ids.append(sid)
+        values.append(_parse_row(path, i, rec[1:]))
+    matrix = np.array(values, dtype=np.float64).reshape(len(ids), len(names))
     return ids, names, matrix
+
+
+def read_samples(path) -> dict[str, np.ndarray]:
+    """Read a samples table of ``eval``: each column's values by its name.
+    Every cell must hold a number; an empty or NaN cell raises ParseError."""
+    header, rows = _read_table(path, "samples")
+    if not rows:
+        raise ParseError(f"{path}: no sample rows")
+    matrix = np.array([_parse_row(path, i, rec) for i, rec in rows])
+    if np.isnan(matrix).any():
+        raise ParseError(f"{path}: a samples table needs a number in every cell")
+    return dict(zip(header, matrix.T))

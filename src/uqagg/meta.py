@@ -36,6 +36,7 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
+from .io import _fmt_float
 from .rng import stream
 from .strategies import FULL_SET, INTENSITY_SET, SPATIAL_SET, parse_strategy
 
@@ -459,10 +460,9 @@ def _emit(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
+        if not math.isfinite(value):
             raise NonFinite("model fields must be finite for serialization")
-        return format(v, ".17g")
+        return _fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):

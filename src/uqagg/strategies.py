@@ -3,25 +3,29 @@
 Canonical identifier grammar (used in CLI arguments and CSV headers):
 
     avg                 global mean
-    plm:<patch>         best patch mean, integer patch edge
-    ata:<T>             above-threshold average, T in (0, 1)
-    aqa:<q>             above-quantile average, q in (0, 1)
+    plm:<patch>         best patch mean, integer patch edge >= 1
+    ata:<T>             above-threshold average, T in [0, 1]
+    aqa:<q>             above-quantile average, q in [0, 1]
     bca                 class-balanced average (needs mask)
     ica                 area-weighted class average (needs mask)
     qfr                 foreground-sized top fraction (needs mask)
     mor                 Moran mass ratio; spatial
-    eds[:<tau>]         edge-density mass ratio, default tau 0.2
-    ent[:<bins>]        local-entropy mass ratio, default 4 bins
+    eds[:<tau>]         edge-density mass ratio, tau in (0, 1), default 0.2
+    ent[:<bins>]        local-entropy mass ratio, integer bins >= 2, default 4
     gmm:<model-path>    negative log-likelihood under a stored mixture model
 
-Parameters are spelled minimally (``plm:20``, ``ata:0.5``); ``eds``/``ent``
-without a parameter mean their defaults and canonicalize to the bare name.
+A strategy is one entry of :data:`TABLE`: its kernel, parameter parser,
+domain check, default and mask need. ``gmm`` is the one exception, because
+its mask need comes from the model file. Parameters are spelled minimally
+(``plm:20``, ``ata:0.5``); a parameter equal to the default, and the bare
+name, canonicalize to the bare name (``eds:0.2`` -> ``eds``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +34,10 @@ from .core import FeatureMatrix, MapPass, as_pass, validate_map
 from .errors import (
     DuplicateStrategy,
     InvalidParam,
-    InvalidQuantile,
-    InvalidThreshold,
     MaskRequired,
+    NoForeground,
     UnknownStrategy,
+    UqaggError,
 )
 
 # Default feature set of the mixture meta-aggregator: 13 intensity features
@@ -48,12 +52,31 @@ INTENSITY_SET = (
 SPATIAL_SET = ("mor", "eds", "ent")
 FULL_SET = INTENSITY_SET + SPATIAL_SET
 
-_BARE = {
-    "avg": (intensity.avg, False),
-    "bca": (intensity.bca, True),
-    "ica": (intensity.ica, True),
-    "qfr": (intensity.qfr, True),
-    "mor": (spatial.mor, False),
+
+class Entry(NamedTuple):
+    """One strategy: its kernel, parameter parser (int, float, or None for no
+    parameter), domain check, the value of the bare name (None when a
+    parameter is required) and whether the kernel also takes the mask."""
+
+    kernel: Callable
+    parse: type | None = None
+    check: Callable | None = None
+    default: int | float | None = None
+    needs_mask: bool = False
+
+
+TABLE = {
+    "avg": Entry(intensity.avg),
+    "plm": Entry(intensity.plm, int, intensity.check_patch),
+    "ata": Entry(intensity.ata, float, intensity.check_threshold),
+    "aqa": Entry(intensity.aqa, float, intensity.check_quantile),
+    "bca": Entry(intensity.bca, needs_mask=True),
+    "ica": Entry(intensity.ica, needs_mask=True),
+    "qfr": Entry(intensity.qfr, needs_mask=True),
+    "mor": Entry(spatial.mor),
+    "eds": Entry(spatial.eds, float, spatial.check_edge_tau, spatial.DEFAULT_EDGE_TAU),
+    "ent": Entry(spatial.ent, int, spatial.check_entropy_bins,
+                 spatial.DEFAULT_ENTROPY_BINS),
 }
 
 
@@ -64,83 +87,46 @@ class Strategy:
     key: str
     requires_mask: bool
     _fn: Callable
+    _args: tuple = ()
 
     def __call__(self, u, mask=None) -> float:
         """Score one map; ``u`` may be a MapPass that carries the mask and
         the intermediates shared with the other strategies of its map."""
         p = as_pass(u, mask)
-        if self.requires_mask and p.mask is None:
-            raise MaskRequired(f"strategy {self.key!r} needs a segmentation mask")
         if self.requires_mask:
-            return self._fn(p, p.mask)
-        return self._fn(p)
-
-
-def _fmt(value: float) -> str:
-    # The shortest spelling that parses back to the same float, so a key
-    # re-parses to the strategy it names.
-    return repr(float(value))
-
-
-def _parse_float(kind: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InvalidParam(f"{kind}: expected a number, got {text!r}") from None
-
-
-def _parse_int(kind: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParam(f"{kind}: expected an integer, got {text!r}") from None
+            if p.mask is None:
+                raise MaskRequired(f"strategy {self.key!r} needs a segmentation mask")
+            return self._fn(p, p.mask, *self._args)
+        return self._fn(p, *self._args)
 
 
 def parse_strategy(token: str) -> Strategy:
     """Parse one identifier into a Strategy; raises on malformed tokens."""
     token = token.strip()
     name, sep, arg = token.partition(":")
-    if name in _BARE:
-        if sep:
-            raise InvalidParam(f"strategy {name!r} takes no parameter, got {token!r}")
-        fn, needs_mask = _BARE[name]
-        return Strategy(name, needs_mask, fn)
-    if name == "plm":
-        if not sep:
-            raise InvalidParam("plm needs a patch size, e.g. plm:20")
-        patch = _parse_int("plm", arg)
-        if patch < 1:
-            raise InvalidParam(f"plm patch must be >= 1, got {patch}")
-        return Strategy(f"plm:{patch}", False, lambda u, p=patch: intensity.plm(u, p))
-    if name == "ata":
-        if not sep:
-            raise InvalidParam("ata needs a threshold, e.g. ata:0.5")
-        t = _parse_float("ata", arg)
-        if not (0.0 < t < 1.0):
-            raise InvalidThreshold(f"ata threshold must lie in (0, 1), got {t!r}")
-        return Strategy(f"ata:{_fmt(t)}", False, lambda u, t=t: intensity.ata(u, t))
-    if name == "aqa":
-        if not sep:
-            raise InvalidParam("aqa needs a quantile, e.g. aqa:0.75")
-        q = _parse_float("aqa", arg)
-        if not (0.0 < q < 1.0):
-            raise InvalidQuantile(f"aqa quantile must lie in (0, 1), got {q!r}")
-        return Strategy(f"aqa:{_fmt(q)}", False, lambda u, q=q: intensity.aqa(u, q))
-    if name == "eds":
-        tau = spatial.check_edge_tau(
-            _parse_float("eds", arg) if sep else spatial.DEFAULT_EDGE_TAU)
-        key = "eds" if tau == spatial.DEFAULT_EDGE_TAU else f"eds:{_fmt(tau)}"
-        return Strategy(key, False, lambda u, t=tau: spatial.eds(u, t))
-    if name == "ent":
-        bins = spatial.check_entropy_bins(
-            _parse_int("ent", arg) if sep else spatial.DEFAULT_ENTROPY_BINS)
-        key = "ent" if bins == spatial.DEFAULT_ENTROPY_BINS else f"ent:{bins}"
-        return Strategy(key, False, lambda u, b=bins: spatial.ent(u, b))
     if name == "gmm":
-        if not sep or not arg:
+        if not arg:
             raise InvalidParam("gmm needs a model path, e.g. gmm:model.json")
         return _gmm_strategy(arg)
-    raise UnknownStrategy(f"unknown strategy {token!r}")
+    entry = TABLE.get(name)
+    if entry is None:
+        raise UnknownStrategy(f"unknown strategy {token!r}")
+    if entry.parse is None:
+        if sep:
+            raise InvalidParam(f"strategy {name!r} takes no parameter, got {token!r}")
+        return Strategy(name, entry.needs_mask, entry.kernel)
+    if not sep and entry.default is None:
+        raise InvalidParam(f"strategy {name!r} needs a parameter: {name}:<value>")
+    try:
+        value = entry.parse(arg) if sep else entry.default
+    except ValueError:
+        expected = "an integer" if entry.parse is int else "a number"
+        raise InvalidParam(f"{name}: expected {expected}, got {arg!r}") from None
+    # "+ 0" folds -0.0 into 0.0, and repr is the shortest spelling that parses
+    # back to the same value, so a strategy has one key and it re-parses.
+    value = entry.check(value) + 0
+    key = name if value == entry.default else f"{name}:{value!r}"
+    return Strategy(key, entry.needs_mask, entry.kernel, (value,))
 
 
 def _gmm_strategy(path: str) -> Strategy:
@@ -151,7 +137,10 @@ def _gmm_strategy(path: str) -> Strategy:
     needs_mask = any(s.requires_mask for s in subs)
 
     def score(p, *_):  # the pass carries the mask
-        return meta.meta_score(model, np.asarray([s(p) for s in subs]))
+        row, skipped = score_map(p, subs)
+        if skipped:
+            raise skipped[0][1]
+        return meta.meta_score(model, row)
 
     return Strategy(f"gmm:{path}", needs_mask, score)
 
@@ -174,14 +163,36 @@ def parse_strategy_list(spec: str | Sequence[str]) -> list[Strategy]:
     return parsed
 
 
+def score_map(p: MapPass, strategies: Sequence[Strategy]
+              ) -> tuple[np.ndarray, list[tuple[str, NoForeground]]]:
+    """Score one map pass with every strategy, in order.
+
+    Every error from a strategy is re-made as the same type with its message
+    prefixed by ``strategy '<key>': ``. A NoForeground leaves the strategy's
+    cell NaN and is returned with its key; any other UqaggError is raised.
+    """
+    row = np.empty(len(strategies))
+    skipped = []
+    for j, strat in enumerate(strategies):
+        try:
+            row[j] = strat(p)
+        except UqaggError as exc:
+            named = type(exc)(f"strategy {strat.key!r}: {exc}")
+            if not isinstance(exc, NoForeground):
+                raise named from exc
+            row[j] = math.nan
+            skipped.append((strat.key, named))
+    return row, skipped
+
+
 def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> FeatureMatrix:
     """Aggregate every map with every strategy into a feature matrix.
 
     Each map is scored through one MapPass, so its strategies share the
     intermediates they have in common. ``masks`` must be given (one per map)
     when any strategy needs one.
-    Per-sample errors (e.g. NoForeground) propagate; callers that want to
-    tolerate them should loop themselves.
+    Per-sample errors (e.g. NoForeground) propagate, named by strategy;
+    callers that want to tolerate NoForeground should call :func:`score_map`.
     """
     strategies = list(strategies)
     maps = [validate_map(u) for u in maps]
@@ -194,7 +205,7 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
         raise InvalidParam(f"{len(maps)} maps but {len(masks)} masks")
     rows = np.empty((len(maps), len(strategies)), dtype=np.float64)
     for i, (u, m) in enumerate(zip(maps, masks)):
-        p = MapPass(u, m)
-        for j, strat in enumerate(strategies):
-            rows[i, j] = strat(p)
+        rows[i], skipped = score_map(MapPass(u, m), strategies)
+        if skipped:
+            raise skipped[0][1]
     return FeatureMatrix(tuple(s.key for s in strategies), rows)

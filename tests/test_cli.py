@@ -532,3 +532,50 @@ def test_aggregate_jobs_identical_on_multi_strip_maps(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert len(_read_rows(tmp_path / "scores_1.csv")) == 7
+
+
+def test_rank_rejects_a_repeated_samples_column(tmp_path):
+    path = tmp_path / "ds.samples.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "a"])
+        for i in range(3):
+            writer.writerow([_fmt_float(0.8 + 0.01 * i), _fmt_float(0.47),
+                             _fmt_float(0.2 - 0.01 * i)])
+    res = run_cli(
+        "rank", "--inputs", str(path), "--metric", "auroc",
+        "--out-prefix", str(tmp_path / "rk"),
+    )
+    assert res.returncode == 4
+    assert "'a'" in res.stderr and "twice" in res.stderr
+    assert not (tmp_path / "rk.ranks.csv").exists()
+
+
+def test_aggregate_strategy_error_names_sample_and_strategy(tmp_path):
+    write_npy(tmp_path / "u.npy", np.full((8, 8), 0.5))
+    write_manifest(tmp_path / "m.csv", [ManifestRow("small", "u.npy")])
+    out = tmp_path / "s.csv"
+    res = run_cli(
+        "aggregate", "--manifest", str(tmp_path / "m.csv"),
+        "--strategies", "avg,plm:20", "--out", str(out),
+    )
+    assert res.returncode == 4
+    assert res.stderr == (
+        "error: sample 'small', strategy 'plm:20': "
+        "patch 20 exceeds map extent 8x8\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["", "nan"])
+def test_rank_rejects_a_samples_cell_without_a_number(tmp_path, cell):
+    path = tmp_path / "ds.samples.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["a", "b"], ["0.8", "0.4"], ["0.7", cell]])
+    res = run_cli(
+        "rank", "--inputs", str(path), "--metric", "auroc",
+        "--out-prefix", str(tmp_path / "rk"),
+    )
+    assert res.returncode == 4
+    assert str(path) in res.stderr
+    assert not (tmp_path / "rk.ranks.csv").exists()

@@ -17,3 +17,17 @@ def test_readme_python_blocks_run():
     namespace = {"__name__": "__readme__"}
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def _names(lines, pattern):
+    return {m.group(1) for m in map(re.compile(pattern).match, lines) if m}
+
+
+def test_strategy_docs_list_exactly_the_table_names():
+    from uqagg import strategies
+
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Aggregation strategies", 1)[1].split("\n## ", 1)[0]
+    names = set(strategies.TABLE) | {"gmm"}
+    assert _names(section.splitlines(), r"\| `([a-z]+)[:`]") == names
+    assert _names(strategies.__doc__.splitlines(), r"    ([a-z]+)[\[: ]") == names

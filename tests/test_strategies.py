@@ -14,14 +14,18 @@ from uqagg import (
     validate_map,
 )
 from uqagg import aqa, ata, avg, bca, eds, ent, mor, plm, qfr
-from uqagg.core import SegmentationMask
+from uqagg.core import MapPass, SegmentationMask
 from uqagg.errors import (
     DuplicateStrategy,
     InvalidParam,
+    InvalidQuantile,
     InvalidThreshold,
     MaskRequired,
+    NoForeground,
+    PatchTooLarge,
     UnknownStrategy,
 )
+from uqagg.strategies import TABLE, score_map
 
 
 def test_default_sets():
@@ -178,3 +182,101 @@ def test_gmm_strategy_propagates_mask_need(tmp_path):
         strat(validate_map(maps[0]))
     val = strat(validate_map(maps[0]), masks[0])
     assert np.isfinite(val)
+
+
+# ---------------------------------------------------------------------------
+# one case per entry of the strategy table
+
+# name -> (a parameterized token, which is its own canonical key, and
+# values outside the parameter's domain with the error they raise)
+CASES = {
+    "avg": ("avg", (), None),
+    "plm": ("plm:5", (0, -3), InvalidParam),
+    "ata": ("ata:0.4", (1.5, -0.1, float("nan")), InvalidThreshold),
+    "aqa": ("aqa:0.75", (1.01, -0.25, float("nan")), InvalidQuantile),
+    "bca": ("bca", (), None),
+    "ica": ("ica", (), None),
+    "qfr": ("qfr", (), None),
+    "mor": ("mor", (), None),
+    "eds": ("eds:0.3", (0.0, 1.0), InvalidParam),
+    "ent": ("ent:8", (1, 0), InvalidParam),
+}
+
+
+def _map_and_mask():
+    rng = np.random.default_rng(12)
+    u = validate_map(rng.random((12, 12)))
+    return u, SegmentationMask(rng.integers(0, 3, size=(12, 12)))
+
+
+def test_cases_cover_every_table_entry():
+    assert set(CASES) == set(TABLE)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_table_key_round_trips_and_dispatches(name):
+    entry = TABLE[name]
+    token = CASES[name][0]
+    strat = parse_strategy(token)
+    assert strat.key == token
+    assert parse_strategy(strat.key).key == token
+    assert strat.requires_mask == entry.needs_mask
+    u, mask = _map_and_mask()
+    args = (mask,) if entry.needs_mask else ()
+    if entry.parse is not None:
+        args += (entry.parse(token.partition(":")[2]),)
+    assert strat(u, mask) == entry.kernel(u, *args)
+    if entry.parse is None:
+        with pytest.raises(InvalidParam):
+            parse_strategy(f"{name}:1")
+    elif entry.default is None:
+        with pytest.raises(InvalidParam):
+            parse_strategy(name)
+    else:
+        assert parse_strategy(name).key == name
+        assert parse_strategy(f"{name}:{entry.default!r}").key == name
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TABLE if TABLE[n].parse))
+def test_out_of_domain_raises_the_same_error_at_parse_and_in_kernel(name):
+    _, bad_values, error = CASES[name]
+    u, _ = _map_and_mask()
+    for bad in bad_values:
+        with pytest.raises(error):
+            parse_strategy(f"{name}:{bad!r}")
+        with pytest.raises(error):
+            TABLE[name].kernel(u, bad)
+
+
+def test_ata_and_aqa_accept_the_closed_interval_endpoints():
+    u, _ = _map_and_mask()
+    assert parse_strategy("ata:0")(u) == ata(u, 0.0)
+    assert parse_strategy("ata:1")(u) == ata(u, 1.0)
+    assert parse_strategy("aqa:0")(u) == pytest.approx(avg(u), rel=1e-12)
+    assert parse_strategy("aqa:1")(u) == float(u.values.max())
+    assert [parse_strategy(t).key for t in ("ata:0", "aqa:1")] == ["ata:0.0", "aqa:1.0"]
+    # -0 is 0: one key, so the pair is caught as a duplicate
+    assert parse_strategy("ata:-0").key == "ata:0.0"
+    with pytest.raises(DuplicateStrategy):
+        parse_strategy_list("aqa:0,aqa:-0.0")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TABLE if TABLE[n].needs_mask))
+def test_compute_features_no_foreground_names_the_strategy(name):
+    maps = [np.full((4, 4), 0.5)]
+    masks = [SegmentationMask(np.zeros((4, 4), dtype=int))]
+    with pytest.raises(NoForeground, match=f"^strategy '{name}': "):
+        compute_features(maps, parse_strategy_list(["avg", name]), masks)
+
+
+def test_score_map_skips_no_foreground_and_names_other_errors():
+    u = validate_map(np.full((8, 8), 0.5))
+    background = SegmentationMask(np.zeros((8, 8), dtype=int))
+    row, skipped = score_map(MapPass(u, background),
+                             parse_strategy_list("avg,qfr,bca"))
+    assert row[0] == 0.5 and np.isnan(row[1:]).all()
+    assert [key for key, _ in skipped] == ["qfr", "bca"]
+    assert all(isinstance(exc, NoForeground) for _, exc in skipped)
+    assert str(skipped[0][1]).startswith("strategy 'qfr': ")
+    with pytest.raises(PatchTooLarge, match="^strategy 'plm:20': patch 20 exceeds"):
+        score_map(MapPass(u), parse_strategy_list("avg,plm:20"))
