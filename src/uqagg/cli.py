@@ -4,14 +4,15 @@ Subcommands: aggregate (maps -> score table), gmm-fit / gmm-score (mixture
 meta-aggregator), eval (scores -> bootstrapped metrics), rank (mean ranks and
 paired significance across datasets), synth (generate benchmark data).
 
-Exit codes: 0 success, 2 usage errors, 3 missing or unreadable files,
-4 invalid data (malformed formats, failed validation).
+Every failure is one ``error:`` line on stderr. The exit code is 2 for a
+usage error (argparse), the ``exit_code`` of the error's class for a
+:class:`~uqagg.errors.UqaggError` (3 for a missing file, 4 for malformed or
+invalid data) and 3 for any other file that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,10 +23,14 @@ import numpy as np
 from . import evaluation, io, meta, synth
 from .core import MapPass, SegmentationMask, validate_map
 from .errors import (
+    DuplicateColumn,
+    DuplicateId,
+    EmptyInput,
+    InvalidParam,
+    InvalidSpec,
     MaskRequired,
     MissingColumn,
     MissingFile,
-    ParseError,
     UqaggError,
 )
 from .evaluation import DEFAULT_BOOTSTRAP
@@ -39,15 +44,6 @@ from .meta import (
     FeatureSetSpec,
 )
 from .strategies import parse_strategy_list, score_map
-
-_EXIT_IO = 3
-_EXIT_DATA = 4
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -148,13 +144,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None,
                    help="benchmark spec JSON; omit for the matched-mean "
                    "blob-vs-noise preset")
-    p.add_argument("--n-iid", type=int, default=50,
+    p.add_argument("--n-iid", type=int, default=_SPEC_KEYS["n_iid"][1],
                    help="in-distribution sample count (preset only)")
-    p.add_argument("--n-ood", type=int, default=50,
+    p.add_argument("--n-ood", type=int, default=_SPEC_KEYS["n_ood"][1],
                    help="perturbed sample count (preset only)")
-    p.add_argument("--size", type=int, nargs=2, default=[64, 64],
+    p.add_argument("--size", type=int, nargs=2, default=_SPEC_KEYS["size"][1],
                    metavar=("ROWS", "COLS"), help="map size (preset only)")
-    p.add_argument("--seed", type=int, default=0, help="generation seed")
+    p.add_argument("--seed", type=int, default=_SPEC_KEYS["seed"][1],
+                   help="generation seed")
     p.add_argument("--with-masks", action="store_true",
                    help="also write pattern-geometry masks (preset only)")
     p.set_defaults(func=_cmd_synth)
@@ -166,35 +163,21 @@ def _build_parser() -> argparse.ArgumentParser:
 # aggregate
 
 
-def _sample_failure(row: io.ManifestRow, path: str, exc: UqaggError) -> _CliFailure:
-    """The error of one sample's file, naming the sample and the file."""
-    code = _EXIT_IO if isinstance(exc, MissingFile) else _EXIT_DATA
-    return _CliFailure(code, f"sample {row.sample_id!r} ({path}): {exc}")
-
-
-def _load_map(manifest: io.Manifest, row: io.ManifestRow):
-    path = manifest.resolve(row.map_path)
+def _load(manifest: io.Manifest, row: io.ManifestRow, rel: str, make):
+    """``make`` applied to the array in one of a sample's files. An error is
+    re-raised as the same type behind ``sample '<id>' (<path>): ``."""
+    path = manifest.resolve(rel)
     try:
-        return validate_map(io.read_npy(path))
+        return make(io.read_npy(path))
     except UqaggError as exc:
-        raise _sample_failure(row, path, exc) from None
-
-
-def _load_mask(manifest: io.Manifest, row: io.ManifestRow):
-    if row.mask_path is None:
-        return None
-    path = manifest.resolve(row.mask_path)
-    try:
-        return SegmentationMask(io.read_npy(path))
-    except UqaggError as exc:
-        raise _sample_failure(row, path, exc) from None
+        raise type(exc)(f"sample {row.sample_id!r} ({path}): {exc}") from None
 
 
 def _cmd_aggregate(args) -> int:
     strategies = parse_strategy_list(args.strategies)
     manifest = io.read_manifest(args.manifest)
     if not manifest.rows:
-        raise _CliFailure(_EXIT_DATA, f"{args.manifest}: manifest has no samples")
+        raise EmptyInput(f"{args.manifest}: manifest has no samples")
     needy = [s.key for s in strategies if s.requires_mask]
     if needy:
         for row in manifest.rows:
@@ -205,11 +188,13 @@ def _cmd_aggregate(args) -> int:
                 )
 
     def score_row(row: io.ManifestRow):
-        p = MapPass(_load_map(manifest, row), _load_mask(manifest, row))
+        u = _load(manifest, row, row.map_path, validate_map)
+        mask = (None if row.mask_path is None
+                else _load(manifest, row, row.mask_path, SegmentationMask))
         try:
-            return score_map(p, strategies)
+            return score_map(MapPass(u, mask), strategies)
         except UqaggError as exc:
-            raise _CliFailure(_EXIT_DATA, f"sample {row.sample_id!r}, {exc}") from None
+            raise type(exc)(f"sample {row.sample_id!r}, {exc}") from None
 
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -249,7 +234,7 @@ def _spec_from_args(args) -> FeatureSetSpec:
     if args.variant == "spa":
         return FeatureSetSpec.spatial_only()
     if not args.strategies:
-        raise _CliFailure(_EXIT_DATA, "--variant custom needs --strategies")
+        raise InvalidParam("--variant custom needs --strategies")
     keys = [s.key for s in parse_strategy_list(args.strategies)]
     return FeatureSetSpec.custom(keys)
 
@@ -280,7 +265,7 @@ def _cmd_gmm_fit(args) -> int:
     ids, names, matrix = io.read_scores(args.features)
     x, keep = _complete_rows(ids, names, matrix, spec.strategies, "skipping it")
     if not keep.any():
-        raise _CliFailure(_EXIT_DATA, "no complete feature rows to fit on")
+        raise EmptyInput("no complete feature rows to fit on")
     model = meta.fit_meta(
         x[keep],
         spec,
@@ -306,7 +291,7 @@ def _cmd_gmm_score(args) -> int:
     ids, names, matrix = io.read_scores(args.features)
     column = f"gmm:{model.feature_spec.variant}"
     if column in names:
-        raise _CliFailure(_EXIT_DATA, f"score table already has a {column!r} column")
+        raise DuplicateColumn(f"score table already has a {column!r} column")
     x, keep = _complete_rows(
         ids, names, matrix, model.feature_spec.strategies, "leaving its NLL empty"
     )
@@ -324,26 +309,23 @@ def _cmd_gmm_score(args) -> int:
 def _cmd_eval(args) -> int:
     ids, names, matrix = io.read_scores(args.scores)
     if not names:
-        raise _CliFailure(_EXIT_DATA, f"{args.scores}: no strategy columns")
+        raise MissingColumn(f"{args.scores}: no strategy columns")
     manifest = io.read_manifest(args.manifest, check_files=False)
     by_id = {row.sample_id: row for row in manifest.rows}
     for sid in ids:
         if sid not in by_id:
-            raise _CliFailure(
-                _EXIT_DATA, f"sample {sid!r} is scored but missing from the manifest"
-            )
+            raise MissingColumn(f"sample {sid!r} is scored but missing from the manifest")
     metric, field = ("auroc", "ood_label") if args.task == "ood" else ("eaurc", "risk")
 
     x, keep = _complete_rows(ids, names, matrix, names, "skipping it")
     kept = [by_id[sid] for sid, ok in zip(ids, keep) if ok]
     if not kept:
-        raise _CliFailure(_EXIT_DATA, "no complete score rows to evaluate")
+        raise EmptyInput("no complete score rows to evaluate")
     for row in kept:
         if getattr(row, field) is None:
-            raise _CliFailure(
-                _EXIT_DATA,
+            raise MissingColumn(
                 f"sample {row.sample_id!r}: task {args.task} needs {field} "
-                "in the manifest",
+                "in the manifest"
             )
     target = np.array([getattr(row, field) for row in kept])
 
@@ -376,10 +358,9 @@ def _cmd_rank(args) -> int:
     for path in args.inputs:
         dataset = os.path.splitext(os.path.basename(path))[0]
         if dataset in datasets:
-            raise _CliFailure(
-                _EXIT_DATA,
+            raise DuplicateId(
                 f"{datasets[dataset]} and {path} share the dataset name "
-                f"{dataset!r}; rename one of them",
+                f"{dataset!r}; rename one of them"
             )
         datasets[dataset] = path
     tables = {}
@@ -412,84 +393,98 @@ def _cmd_rank(args) -> int:
 # synth
 
 
-def _preset(size: tuple[int, int]) -> dict:
+_REQUIRED = object()
+_ENTRY_KEYS = {"pattern": (str, _REQUIRED), "params": ((dict, float), {})}
+
+# Every key of a synth spec document: the JSON type of its value and its
+# default. A pair (container, t) holds values of type t, a number may be an
+# integer, and the "iid" and "ood" entries hold the keys of _ENTRY_KEYS. The
+# synth options take their defaults from here too.
+_SPEC_KEYS = {
+    "iid": (_ENTRY_KEYS, _REQUIRED), "ood": (_ENTRY_KEYS, _REQUIRED),
+    "n_iid": (int, 50), "n_ood": (int, 50), "size": ((list, int), [64, 64]),
+    "seed": (int, 0), "with_masks": (bool, False), "match_means": (bool, False),
+    "ladder": ((list, float), None), "risk_slope": (float, 0.6),
+    "risk_noise": (float, 0.05),
+}
+_JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer",
+               float: "number", bool: "boolean"}
+
+
+def _is(kind, value) -> bool:
+    """Whether a JSON value has the type ``kind`` of ``_SPEC_KEYS``."""
+    if isinstance(kind, tuple):
+        box, item = kind
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, box) and all(_is(item, v) for v in items)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _spec_document(doc, keys: dict, where: str) -> dict:
+    """``doc`` with every key checked against ``keys`` and every absent key
+    at its default; a null stands for a null default."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{where} must be a JSON object, got {type(doc).__name__}")
+    required = [key for key, (_, default) in keys.items() if default is _REQUIRED]
+    if any(key not in doc for key in required):
+        raise InvalidSpec(f"{where} needs {' and '.join(map(repr, required))} entries")
+    out = {key: default for key, (_, default) in keys.items()}
+    for key, value in doc.items():
+        if key not in keys:
+            raise InvalidSpec(f"{where} has unknown key {key!r}; pick from {sorted(keys)}")
+        kind, default = keys[key]
+        if isinstance(kind, dict):
+            value = _spec_document(value, kind, f"{where} {key!r}")
+        elif not _is(kind, value) and not (value is None and default is None):
+            name = (f"{_JSON_NAMES[kind[0]]} of {_JSON_NAMES[kind[1]]}s"
+                    if isinstance(kind, tuple) else _JSON_NAMES[kind])
+            raise InvalidSpec(f"{where} key {key!r} must be a JSON {name}, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _preset(args) -> dict:
     """Matched-mean blob-vs-noise benchmark, geometry scaled to the map size."""
-    radius = 0.1875 * min(size)
+    radius = 0.1875 * min(args.size)
     return {
-        "iid": {
-            "pattern": "noise",
-            "params": {"mean": 0.3, "amp": 0.12, "mean_jitter": 0.02},
-        },
-        "ood": {
-            "pattern": "blob",
-            "params": {
-                "inside": 0.85,
-                "inside_jitter": 0.05,
-                "radius": radius,
-                "radius_jitter": radius / 6.0,
-                "outside": 0.25,
-            },
-        },
-        "match_means": True,
+        "iid": {"pattern": "noise",
+                "params": {"mean": 0.3, "amp": 0.12, "mean_jitter": 0.02}},
+        "ood": {"pattern": "blob",
+                "params": {"inside": 0.85, "inside_jitter": 0.05, "radius": radius,
+                           "radius_jitter": radius / 6.0, "outside": 0.25}},
+        "match_means": True, "n_iid": args.n_iid, "n_ood": args.n_ood,
+        "size": list(args.size), "seed": args.seed, "with_masks": args.with_masks,
     }
 
 
-def _benchmark_from_spec(doc, args) -> tuple[list[synth.Benchmark], bool]:
-    def spec_of(entry, seed):
+def _benchmark_from_spec(doc: dict) -> list[synth.Benchmark]:
+    def spec_of(entry):
         return synth.SynthSpec(
-            entry["pattern"], tuple(doc.get("size", [64, 64])),
-            entry.get("params", {}), seed,
+            entry["pattern"], tuple(doc["size"]), entry["params"], doc["seed"]
         )
 
-    seed = int(doc.get("seed", 0))
-    with_masks = bool(doc.get("with_masks", False))
-    benches = synth.gen_benchmark(
-        int(doc.get("n_iid", 50)),
-        int(doc.get("n_ood", 50)),
-        spec_of(doc["iid"], seed),
-        spec_of(doc["ood"], seed),
-        perturb_ladder=doc.get("ladder"),
-        seed=seed,
-        match_means=bool(doc.get("match_means", False)),
-        with_masks=with_masks,
-        risk_slope=float(doc.get("risk_slope", 0.6)),
-        risk_noise=float(doc.get("risk_noise", 0.05)),
+    return synth.gen_benchmark(
+        doc["n_iid"], doc["n_ood"], spec_of(doc["iid"]), spec_of(doc["ood"]),
+        perturb_ladder=doc["ladder"], seed=doc["seed"], match_means=doc["match_means"],
+        with_masks=doc["with_masks"], risk_slope=doc["risk_slope"],
+        risk_noise=doc["risk_noise"],
     )
-    return benches, with_masks
 
 
 def _cmd_synth(args) -> int:
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{args.spec}: {exc}") from None
-        if "iid" not in doc or "ood" not in doc:
-            raise _CliFailure(
-                _EXIT_DATA, f"{args.spec}: spec needs 'iid' and 'ood' entries"
-            )
+        doc = _spec_document(io.read_json(args.spec), _SPEC_KEYS, f"{args.spec}: spec")
     else:
-        doc = _preset(tuple(args.size))
-        doc.update(
-            {
-                "n_iid": args.n_iid,
-                "n_ood": args.n_ood,
-                "size": list(args.size),
-                "seed": args.seed,
-                "with_masks": args.with_masks,
-            }
-        )
-    benches, with_masks = _benchmark_from_spec(doc, args)
+        doc = _spec_document(_preset(args), _SPEC_KEYS, "preset spec")
+    benches = _benchmark_from_spec(doc)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     multi = len(benches) > 1
     for t, bench in enumerate(benches):
         sub = f"step{t:02d}" if multi else ""
-        map_dir = os.path.join(args.out_dir, sub, "maps")
-        os.makedirs(map_dir, exist_ok=True)
-        if with_masks:
-            os.makedirs(os.path.join(args.out_dir, sub, "masks"), exist_ok=True)
+        for kind in ("maps", "masks") if doc["with_masks"] else ("maps",):
+            os.makedirs(os.path.join(args.out_dir, sub, kind), exist_ok=True)
         rows = []
         for sample in bench.samples:
             rel_map = os.path.join(sub, "maps", f"{sample.sample_id}.npy")
@@ -498,15 +493,8 @@ def _cmd_synth(args) -> int:
             if sample.mask is not None:
                 rel_mask = os.path.join(sub, "masks", f"{sample.sample_id}.npy")
                 io.write_npy(os.path.join(args.out_dir, rel_mask), sample.mask.labels)
-            rows.append(
-                io.ManifestRow(
-                    sample_id=sample.sample_id,
-                    map_path=rel_map,
-                    mask_path=rel_mask,
-                    ood_label=sample.ood_label,
-                    risk=sample.risk,
-                )
-            )
+            rows.append(io.ManifestRow(sample.sample_id, rel_map, rel_mask,
+                                       sample.ood_label, sample.risk))
         name = f"manifest_step{t:02d}.csv" if multi else "manifest.csv"
         io.write_manifest(os.path.join(args.out_dir, name), rows)
         print(
@@ -525,18 +513,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (MissingFile, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
     except UqaggError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return exc.exit_code
+    except OSError as exc:  # a file that cannot be opened, read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return MissingFile.exit_code
 
 
 def entrypoint() -> None:

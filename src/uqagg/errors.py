@@ -1,13 +1,17 @@
 """Exception types raised across the package.
 
 Every error raised on purpose derives from :class:`UqaggError`, so callers can
-catch one base class. The CLI maps subclasses to exit codes: file/format
-problems exit 3, data validation problems exit 4.
+catch one base class. Each class carries the exit code the CLI returns for it
+in ``exit_code``: 3 for :class:`MissingFile`, a file that is not there, and 4
+for every other class, malformed files (bad NPY magic, a truncated payload,
+unparsable text) as much as invalid data.
 """
 
 
 class UqaggError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 4
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +159,7 @@ class ParseError(UqaggError):
 
 
 class MissingColumn(UqaggError):
-    """Required CSV column absent."""
+    """Required CSV column, or a row or cell it must hold, absent."""
 
 
 class DuplicateId(UqaggError):
@@ -168,3 +172,5 @@ class DuplicateColumn(UqaggError):
 
 class MissingFile(UqaggError):
     """A referenced file does not exist."""
+
+    exit_code = 3

@@ -11,12 +11,15 @@ CSV side: a sample manifest (sample_id, map_path, optional mask_path /
 ood_label / risk, paths resolved against the manifest's directory) and score
 tables (sample_id plus one column per canonical strategy identifier, floats
 written with 17 significant digits so they round-trip exactly; empty cells
-mean the strategy produced no score for that sample).
+mean the strategy produced no score for that sample). One reader takes every
+CSV input and refuses a repeated header name, a row of another width than the
+header, a blank line and text that is not UTF-8; one reads every JSON file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import re
@@ -104,10 +107,7 @@ def read_npy(path) -> np.ndarray:
     header_end = offset + header_len
     if len(data) < header_end:
         raise TruncatedPayload(f"{path}: file ends inside the header")
-    try:
-        header = data[offset:header_end].decode("latin1")
-    except UnicodeDecodeError:  # pragma: no cover - latin1 decodes all bytes
-        raise ParseError(f"{path}: undecodable header") from None
+    header = data[offset:header_end].decode("latin1")  # decodes every byte
     match = _HEADER_RE.fullmatch(header)
     if match is None:
         raise ParseError(f"{path}: header does not match the restricted grammar")
@@ -174,38 +174,36 @@ def _parse_risk(text: str, row: int) -> float:
 
 
 def read_manifest(path, *, check_files: bool = True) -> Manifest:
-    """Load a sample manifest; paths are kept relative to the manifest."""
+    """Load a sample manifest; paths are kept relative to the manifest.
+
+    Cells are read with surrounding blanks stripped, and an absent optional
+    column reads as empty cells.
+    """
     base_dir = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("sample_id", "map_path"):
-            if col not in header:
-                raise MissingColumn(f"{path}: manifest lacks column {col!r}")
-        rows = []
-        seen: set[str] = set()
-        for i, rec in enumerate(reader, start=2):
-            sid = (rec.get("sample_id") or "").strip()
-            if not sid:
-                raise ParseError(f"row {i}, column sample_id: empty")
-            if sid in seen:
-                raise DuplicateId(f"{path}: sample_id {sid!r} appears twice")
-            seen.add(sid)
-            map_path = (rec.get("map_path") or "").strip()
-            if not map_path:
-                raise ParseError(f"row {i}, column map_path: empty")
-            mask_path = (rec.get("mask_path") or "").strip() or None
-            label_text = (rec.get("ood_label") or "").strip()
-            risk_text = (rec.get("risk") or "").strip()
-            rows.append(
-                ManifestRow(
-                    sample_id=sid,
-                    map_path=map_path,
-                    mask_path=mask_path,
-                    ood_label=_parse_label(label_text, i) if label_text else None,
-                    risk=_parse_risk(risk_text, i) if risk_text else None,
-                )
-            )
+    header, records = _read_table(path, "manifest")
+    for col in ("sample_id", "map_path"):
+        if col not in header:
+            raise MissingColumn(f"{path}: manifest lacks column {col!r}")
+    index = {name: j for j, name in enumerate(header)}
+    rows = []
+    seen: set[str] = set()
+    for i, rec in records:
+        sid, map_path, mask_path, label_text, risk_text = (
+            rec[index[col]].strip() if col in index else ""
+            for col in ("sample_id", "map_path", "mask_path", "ood_label", "risk")
+        )
+        if not sid:
+            raise ParseError(f"row {i}, column sample_id: empty")
+        if sid in seen:
+            raise DuplicateId(f"{path}: sample_id {sid!r} appears twice")
+        seen.add(sid)
+        if not map_path:
+            raise ParseError(f"row {i}, column map_path: empty")
+        rows.append(ManifestRow(
+            sample_id=sid, map_path=map_path, mask_path=mask_path or None,
+            ood_label=_parse_label(label_text, i) if label_text else None,
+            risk=_parse_risk(risk_text, i) if risk_text else None,
+        ))
     manifest = Manifest(tuple(rows), base_dir)
     if check_files:
         for row in manifest.rows:
@@ -257,23 +255,27 @@ def _read_table(path, what) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Header and data rows of a CSV table, each row with its line number.
 
     Raises MissingColumn for an empty file, DuplicateColumn for a repeated
-    header name and ParseError for a row of another width."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty {what} table") from None
-        for j, name in enumerate(header):
-            if name in header[:j]:
-                raise DuplicateColumn(f"{path}: column {name!r} appears twice")
-        rows = []
-        for i, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ParseError(
-                    f"{path} row {i}: expected {len(header)} cells, got {len(rec)}"
-                )
-            rows.append((i, rec))
+    header name and ParseError for a row of another width (a blank line has
+    none) or for text that is not UTF-8 or not CSV."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingColumn(f"{path}: empty {what} table") from None
+            for j, name in enumerate(header):
+                if name in header[:j]:
+                    raise DuplicateColumn(f"{path}: column {name!r} appears twice")
+            rows = []
+            for i, rec in enumerate(reader, start=2):
+                if len(rec) != len(header):
+                    raise ParseError(
+                        f"{path} row {i}: expected {len(header)} cells, got {len(rec)}"
+                    )
+                rows.append((i, rec))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return header, rows
 
 
@@ -318,3 +320,13 @@ def read_samples(path) -> dict[str, np.ndarray]:
     if np.isnan(matrix).any():
         raise ParseError(f"{path}: a samples table needs a number in every cell")
     return dict(zip(header, matrix.T))
+
+
+def read_json(path, encoding: str = "utf-8"):
+    """The JSON document in a file; text that does not decode or is not JSON
+    raises ParseError naming the path."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +35,7 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
-from .io import _fmt_float
+from .io import _fmt_float, read_json
 from .rng import stream
 from .strategies import FULL_SET, INTENSITY_SET, SPATIAL_SET, parse_strategy
 
@@ -511,6 +510,10 @@ def model_from_json(text: str) -> GmmModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model JSON is malformed: {exc}") from None
+    return _model_from_doc(doc)
+
+
+def _model_from_doc(doc) -> GmmModel:
     if not isinstance(doc, dict):
         raise ParseError("model JSON must be an object")
     if doc.get("version") != _MODEL_VERSION:
@@ -545,7 +548,4 @@ def model_from_json(text: str) -> GmmModel:
 
 
 def load_model(path) -> GmmModel:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "r", encoding="ascii") as fh:
-        return model_from_json(fh.read())
+    return _model_from_doc(read_json(path, encoding="ascii"))

@@ -79,6 +79,10 @@ class SynthSpec:
                 )
             if not math.isfinite(float(value)):
                 raise InvalidSpec(f"parameter {key!r} must be finite")
+        if self.pattern == "checkerboard" and "period" in params:
+            period = int(float(params["period"]))
+            if period < 1:
+                raise InvalidSpec(f"checkerboard period must be >= 1, got {period}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "params", params)
 
@@ -115,8 +119,6 @@ def _render(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         vals = np.where(outer & ~inner, spec.param("inside"), spec.param("outside"))
     elif spec.pattern == "checkerboard":
         period = int(spec.param("period"))
-        if period < 1:
-            raise InvalidSpec(f"checkerboard period must be >= 1, got {period}")
         rr, cc = np.indices((m, n))
         parity = (rr // period + cc // period) % 2
         vals = np.where(parity == 0, spec.param("high"), spec.param("low"))
@@ -158,19 +160,14 @@ def pattern_mask(spec: SynthSpec) -> SegmentationMask:
 
 def expected_mean(spec: SynthSpec) -> float:
     """Expected map mean under the base parameters (jitter excluded)."""
-    m, n = spec.size
     if spec.pattern == "constant":
         return spec.param("level")
     if spec.pattern == "noise":
         return spec.param("mean")
-    if spec.pattern in ("blob", "ring"):
-        fg = pattern_mask(spec).labels == 1
-        f = float(fg.mean())
-        return f * spec.param("inside") + (1.0 - f) * spec.param("outside")
-    period = int(spec.param("period"))
-    rr, cc = np.indices((m, n))
-    f = float(((rr // period + cc // period) % 2 == 0).mean())
-    return f * spec.param("high") + (1.0 - f) * spec.param("low")
+    # the mean over the pattern's foreground, its high tiles or its shape
+    on, off = ("high", "low") if spec.pattern == "checkerboard" else ("inside", "outside")
+    f = float((pattern_mask(spec).labels == 1).mean())
+    return f * spec.param(on) + (1.0 - f) * spec.param(off)
 
 
 def _jittered(spec: SynthSpec, rng: np.random.Generator) -> SynthSpec:

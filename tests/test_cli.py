@@ -579,3 +579,110 @@ def test_rank_rejects_a_samples_cell_without_a_number(tmp_path, cell):
     assert res.returncode == 4
     assert str(path) in res.stderr
     assert not (tmp_path / "rk.ranks.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed input: one error line and the class's exit code, never a traceback
+
+_ENTRY = {"pattern": "noise", "params": {"mean": 0.3, "amp": 0.1}}
+# Each synth spec case with the start of its message after the file name.
+_SPECS = {
+    "spec-root-list": ([_ENTRY, _ENTRY], "spec must be a JSON object, got list"),
+    "spec-entry-without-pattern": ({"iid": {"params": {"mean": 0.3}}, "ood": _ENTRY},
+                                   "spec 'iid' needs 'pattern'"),
+    "spec-n-iid-text": ({"iid": _ENTRY, "ood": _ENTRY, "n_iid": "abc"},
+                        "spec key 'n_iid' must be a JSON integer, got 'abc'"),
+    "spec-ladder-number": ({"iid": _ENTRY, "ood": _ENTRY, "ladder": 5},
+                           "spec key 'ladder' must be a JSON list of numbers, got 5"),
+    "spec-size-text": ({"iid": _ENTRY, "ood": _ENTRY, "size": "ab"},
+                       "spec key 'size' must be a JSON list of integers, got 'ab'"),
+    "spec-unknown-key": ({"iid": _ENTRY, "ood": _ENTRY, "ladders": [0.5]},
+                         "spec has unknown key 'ladders'"),
+}
+# Each case: its command line and the start of its error message.
+_MALFORMED = {
+    "manifest-not-utf8-aggregate": (
+        ["aggregate", "--manifest", "{d}/latin1.csv", "--strategies", "avg",
+         "--out", "{d}/out.csv"], "{d}/latin1.csv: 'utf-8' codec can't decode"),
+    "manifest-not-utf8-eval": (
+        ["eval", "--scores", "{d}/scores.csv", "--manifest", "{d}/latin1.csv",
+         "--task", "ood", "--bootstrap", "5", "--out-prefix", "{d}/out"],
+        "{d}/latin1.csv: 'utf-8' codec can't decode"),
+    "scores-not-utf8-gmm-fit": (
+        ["gmm-fit", "--features", "{d}/latin1_scores.csv", "--variant", "custom",
+         "--strategies", "avg", "--out", "{d}/out.json"],
+        "{d}/latin1_scores.csv: 'utf-8' codec can't decode"),
+    "samples-not-utf8-rank": (
+        ["rank", "--inputs", "{d}/latin1.samples.csv", "--metric", "auroc",
+         "--out-prefix", "{d}/out"], "{d}/latin1.samples.csv: 'utf-8' codec can't decode"),
+    "model-not-ascii-gmm-score": (
+        ["gmm-score", "--model", "{d}/model.json", "--features", "{d}/scores.csv",
+         "--out", "{d}/out.csv"], "{d}/model.json: 'ascii' codec can't decode"),
+    "model-not-ascii-aggregate": (
+        ["aggregate", "--manifest", "{d}/m.csv", "--strategies", "avg,gmm:{d}/model.json",
+         "--out", "{d}/out.csv"], "{d}/model.json: 'ascii' codec can't decode"),
+    "manifest-repeats-map-path": (
+        ["aggregate", "--manifest", "{d}/twice.csv", "--strategies", "avg",
+         "--out", "{d}/out.csv"], "{d}/twice.csv: column 'map_path' appears twice"),
+    **{name: (["synth", "--spec", f"{{d}}/{name}.json", "--out-dir", "{d}/out"],
+              f"{{d}}/{name}.json: {words}")
+       for name, (_, words) in _SPECS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
+    write_npy(tmp_path / "u.npy", np.full((8, 8), 0.5))
+    write_manifest(tmp_path / "m.csv", [ManifestRow("s1", "u.npy", None, 1, 0.5)])
+    write_scores(tmp_path / "scores.csv", ["s1"], ["avg"], np.array([[0.5]]))
+    (tmp_path / "latin1.csv").write_bytes(b"sample_id,map_path\nm\xe9,u.npy\n")
+    (tmp_path / "latin1_scores.csv").write_bytes(b"sample_id,avg\ns\xe9,0.5\n")
+    (tmp_path / "latin1.samples.csv").write_bytes(b"avg,mor\n0.5,0.25\n\xe9,0.5\n")
+    (tmp_path / "model.json").write_text('{"version": "café"}', encoding="utf-8")
+    (tmp_path / "twice.csv").write_text("sample_id,map_path,map_path\ns1,u.npy,u.npy\n")
+    for name, (doc, _) in _SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    argv, words = _MALFORMED[case]
+    res = run_cli(*(arg.format(d=tmp_path) for arg in argv))
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, res.stderr
+    assert errors[0].startswith("error: " + words.format(d=tmp_path))
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
+def test_spec_defaults_match_the_preset(tmp_path):
+    """A spec holding only the preset's entries gives the preset's files."""
+    res = run_cli("synth", "--out-dir", str(tmp_path / "preset"))
+    assert res.returncode == 0, res.stderr
+    radius = 0.1875 * 64
+    spec = {
+        "match_means": True,
+        "iid": {"pattern": "noise",
+                "params": {"mean": 0.3, "amp": 0.12, "mean_jitter": 0.02}},
+        "ood": {"pattern": "blob",
+                "params": {"inside": 0.85, "inside_jitter": 0.05, "radius": radius,
+                           "radius_jitter": radius / 6.0, "outside": 0.25}},
+        "ladder": None,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    res = run_cli("synth", "--spec", str(tmp_path / "spec.json"),
+                  "--out-dir", str(tmp_path / "spec"))
+    assert res.returncode == 0, res.stderr
+    for rel in ("manifest.csv", "maps/iid-0049.npy", "maps/ood-0049.npy"):
+        assert (tmp_path / "preset" / rel).read_bytes() == (
+            tmp_path / "spec" / rel
+        ).read_bytes()
+
+
+def test_exit_code_policy_is_carried_by_the_error_classes():
+    import uqagg
+
+    classes = [obj for obj in (getattr(uqagg, name) for name in uqagg.__all__)
+               if isinstance(obj, type) and issubclass(obj, uqagg.UqaggError)]
+    assert len(classes) > 20 and uqagg.UqaggError in classes
+    assert {cls.__name__: cls.exit_code for cls in classes} == {
+        cls.__name__: 3 if cls is uqagg.MissingFile else 4 for cls in classes
+    }

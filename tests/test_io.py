@@ -30,6 +30,7 @@ from uqagg.errors import (
     UnsupportedDtype,
     UqaggError,
 )
+from uqagg.io import read_json
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +318,45 @@ def test_manifest_missing_map_file(tmp_path):
         read_manifest(path)
     got = read_manifest(path, check_files=False)
     assert got.rows[0].map_path == "maps/a.npy"
+
+
+def test_manifest_cells_are_stripped(tmp_path):
+    _write_map_files(tmp_path, ["a"])
+    path = tmp_path / "m.csv"
+    path.write_text("sample_id,map_path,ood_label\n a , maps/a.npy ,1 \n")
+    row = read_manifest(path).rows[0]
+    assert (row.sample_id, row.map_path, row.ood_label) == ("a", "maps/a.npy", 1)
+
+
+@pytest.mark.parametrize("data, error, words", [
+    (b"sample_id,map_path,map_path\na,maps/a.npy,maps/a.npy\n", DuplicateColumn,
+     "'map_path' appears twice"),
+    (b"sample_id,map_path\na,maps/a.npy,extra\n", ParseError, "row 2"),
+    (b"sample_id,map_path\na\n", ParseError, "row 2"),
+    (b"sample_id,map_path\n\na,maps/a.npy\n", ParseError, "row 2"),
+    (b"sample_id,map_path\n\xff\xfe,maps/a.npy\n", ParseError, "utf-8"),
+    (b"", MissingColumn, "empty manifest table"),
+], ids=["repeated-header", "long-row", "short-row", "blank-line", "not-utf8",
+        "empty-file"])
+def test_manifest_follows_the_csv_rules(tmp_path, data, error, words):
+    _write_map_files(tmp_path, ["a"])
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    with pytest.raises(error, match=words) as info:
+        read_manifest(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_json_names_the_path(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": [1, 2.5]}')
+    assert read_json(path) == {"a": [1, 2.5]}
+    for data, encoding in ((b"{not json", "utf-8"), (b'{"a": "\xc3\xa9"}', "ascii"),
+                           (b'{"a": "\xff"}', "utf-8")):
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_json(path, encoding=encoding)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_manifest_constructor_is_plain_container(tmp_path):

@@ -40,6 +40,19 @@ def test_spec_validation():
     SynthSpec("noise", (8, 8), {"mean": 0.5, "amp": 0.1, "mean_jitter": 0.05})
     with pytest.raises(InvalidSpec):
         SynthSpec("noise", (8, 8), {"mean": 0.5, "amp": 0.1, "level_jitter": 0.05})
+    # a checkerboard needs tiles of at least one pixel, whatever reads the spec
+    board = {"high": 0.9, "low": 0.1, "period": 0}
+    for use in (generate, pattern_mask, expected_mean):
+        with pytest.raises(InvalidSpec, match="period must be >= 1, got 0"):
+            use(SynthSpec("checkerboard", (4, 4), board))
+
+
+def test_jittered_checkerboard_period_is_checked():
+    iid = _noise()
+    board = SynthSpec("checkerboard", (16, 16),
+                      {"high": 0.9, "low": 0.1, "period": 1, "period_jitter": 0.9})
+    with pytest.raises(InvalidSpec, match="period must be >= 1"):
+        gen_benchmark(2, 20, iid, board, seed=0)
 
 
 def test_generate_deterministic():
