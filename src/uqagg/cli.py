@@ -75,8 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit the mixture meta-aggregator on reference feature vectors",
     )
     p.add_argument("--features", required=True, help="score table CSV to fit on")
-    p.add_argument("--variant", default="all", choices=["all", "int", "spa", "custom"],
-                   help="feature set: 16 defaults, 13 intensity, 3 spatial, or custom")
+    p.add_argument("--variant", default="all", choices=[*meta.VARIANTS, "custom"],
+                   help="feature set: " + ", ".join(
+                       f"{name} ({len(keys)} strategies)"
+                       for name, keys in meta.VARIANTS.items()) + ", or custom")
     p.add_argument("--strategies", default=None,
                    help="comma-separated identifiers (required for --variant custom)")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
@@ -227,12 +229,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _spec_from_args(args) -> FeatureSetSpec:
-    if args.variant == "all":
-        return FeatureSetSpec.all()
-    if args.variant == "int":
-        return FeatureSetSpec.intensity_only()
-    if args.variant == "spa":
-        return FeatureSetSpec.spatial_only()
+    if args.variant in meta.VARIANTS:
+        return FeatureSetSpec(args.variant, meta.VARIANTS[args.variant])
     if not args.strategies:
         raise InvalidParam("--variant custom needs --strategies")
     keys = [s.key for s in parse_strategy_list(args.strategies)]

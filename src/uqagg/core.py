@@ -245,37 +245,6 @@ def entropy_uncertainty(stack) -> UncertaintyMap:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Named 1-D vector of aggregated scores for one sample."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ShapeMismatch(f"feature values must be 1-D, got ndim={vals.ndim}")
-        if len(names) != vals.shape[0]:
-            raise ShapeMismatch(
-                f"{len(names)} names for {vals.shape[0]} values"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def get(self, name: str) -> float:
-        try:
-            return float(self.values[self.names.index(name)])
-        except ValueError:
-            raise FeatureMismatch(f"no feature named {name!r}") from None
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Named 2-D matrix of aggregated scores, one row per sample."""
 
@@ -300,8 +269,9 @@ class FeatureMatrix:
     def n_samples(self) -> int:
         return self.values.shape[0]
 
-    def row(self, i: int) -> FeatureVector:
-        return FeatureVector(self.names, self.values[i])
+    def row(self, i: int) -> "FeatureMatrix":
+        """Row ``i`` as a one-row matrix, so it keeps its column names."""
+        return FeatureMatrix(self.names, self.values[[i]])
 
     def column(self, name: str) -> np.ndarray:
         try:

@@ -14,8 +14,7 @@ running sum, and the class reductions one per-label tally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,16 +111,8 @@ class ClassAverage(NamedTuple):
     area: int
 
 
-@dataclass(frozen=True)
-class ClassAverages:
-    """Mean uncertainty and pixel count per non-background class."""
-
-    per_class: dict[int, ClassAverage]
-    background_label: int
-
-
-def class_averages(u, mask) -> ClassAverages:
-    """Per-class mean uncertainty over the mask's non-background classes.
+def class_averages(u, mask) -> dict[int, ClassAverage]:
+    """Mean uncertainty and pixel count of each non-background class, by label.
 
     Raises ShapeMismatch when map and mask shapes differ and NoForeground
     when every pixel carries the background label.
@@ -134,37 +125,19 @@ def class_averages(u, mask) -> ClassAverages:
         per_class[int(c)] = ClassAverage(float(sums[c] / counts[c]), int(counts[c]))
     if not per_class:
         raise NoForeground("mask contains only background pixels")
-    return ClassAverages(per_class, background)
-
-
-def wca(u, mask, weights: Mapping[int, float]) -> float:
-    """Weighted combination of per-class averages.
-
-    ``weights`` must cover every non-background class present in the mask and
-    sum to 1 within float tolerance.
-    """
-    stats = class_averages(u, mask)
-    missing = set(stats.per_class) - set(weights)
-    if missing:
-        raise InvalidParam(f"weights missing for classes {sorted(missing)}")
-    total = math.fsum(weights[c] for c in stats.per_class)
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidParam(f"class weights must sum to 1, got {total!r}")
-    return float(
-        math.fsum(weights[c] * stat.alpha for c, stat in stats.per_class.items())
-    )
+    return per_class
 
 
 def bca(u, mask) -> float:
     """Mean of the per-class averages with equal class weights."""
-    per_class = class_averages(u, mask).per_class
+    per_class = class_averages(u, mask)
     weight = 1.0 / len(per_class)
     return float(math.fsum(weight * stat.alpha for stat in per_class.values()))
 
 
 def ica(u, mask) -> float:
     """Area-proportional combination of the per-class averages."""
-    per_class = class_averages(u, mask).per_class
+    per_class = class_averages(u, mask)
     total_area = sum(stat.area for stat in per_class.values())
     return float(
         math.fsum((stat.area / total_area) * stat.alpha for stat in per_class.values())

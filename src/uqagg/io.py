@@ -150,10 +150,6 @@ class Manifest:
     def resolve(self, rel_path: str) -> str:
         return os.path.normpath(os.path.join(self.base_dir, rel_path))
 
-    @property
-    def has_masks(self) -> bool:
-        return all(r.mask_path is not None for r in self.rows)
-
 
 def _parse_label(text: str, row: int) -> int:
     if text not in ("0", "1"):

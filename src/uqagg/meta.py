@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix, FeatureVector
+from .core import FeatureMatrix
 from .errors import (
     EmptyFeatureSet,
     FeatureMismatch,
@@ -52,6 +52,9 @@ _MONOTONE_SLACK = 1e-8
 _MODEL_VERSION = "1"
 _LANE_RESTART = 11
 
+# The named feature sets of the meta-aggregator; any other set is "custom".
+VARIANTS = {"all": FULL_SET, "int": INTENSITY_SET, "spa": SPATIAL_SET}
+
 
 @dataclass(frozen=True)
 class FeatureSetSpec:
@@ -72,15 +75,15 @@ class FeatureSetSpec:
 
     @classmethod
     def all(cls) -> "FeatureSetSpec":
-        return cls("all", FULL_SET)
+        return cls("all", VARIANTS["all"])
 
     @classmethod
     def intensity_only(cls) -> "FeatureSetSpec":
-        return cls("int", INTENSITY_SET)
+        return cls("int", VARIANTS["int"])
 
     @classmethod
     def spatial_only(cls) -> "FeatureSetSpec":
-        return cls("spa", SPATIAL_SET)
+        return cls("spa", VARIANTS["spa"])
 
     @classmethod
     def custom(cls, strategies: Sequence[str]) -> "FeatureSetSpec":
@@ -374,38 +377,13 @@ def _match_matrix(features, spec: FeatureSetSpec) -> np.ndarray:
     return arr
 
 
-def _match_vector(model: GmmModel, features) -> np.ndarray:
-    spec = model.feature_spec.strategies
-    if isinstance(features, FeatureVector):
-        if sorted(features.names) != sorted(spec):
-            raise FeatureMismatch(
-                f"feature names {features.names} do not match model "
-                f"features {spec}"
-            )
-        return np.array([features.get(name) for name in spec])
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != len(spec):
-        raise FeatureMismatch(f"expected {len(spec)} features, got shape {arr.shape}")
-    return arr
-
-
-def meta_score(model: GmmModel, features) -> float:
-    """Negative log-likelihood of one feature vector under the model.
-
-    Accepts a FeatureVector (columns matched by name, any order) or a plain
-    vector already in the model's feature order. Higher scores mean farther
-    from the reference population.
-    """
-    raw = _match_vector(model, features)
-    if not np.isfinite(raw).all():
-        raise NonFinite("feature vector contains NaN or infinity")
-    z = _apply_preproc(model, raw[None, :])
-    logp = _log_components(z, model.weights, model.means, model.covariances)
-    return float(-_logsumexp_rows(logp)[0])
-
-
 def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
-    """Vectorized :func:`meta_score` over the rows of a feature matrix."""
+    """Negative log-likelihood of each row of a feature matrix under the model.
+
+    Accepts a FeatureMatrix (columns matched by name, any order) or a plain
+    (n, d) array already in the model's feature order. Higher scores mean
+    farther from the reference population.
+    """
     x = _match_matrix(features, model.feature_spec)
     if not np.isfinite(x).all():
         raise NonFinite("feature matrix contains NaN or infinity")
@@ -414,36 +392,20 @@ def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
     return -_logsumexp_rows(logp)
 
 
+def meta_score(model: GmmModel, features) -> float:
+    """:func:`meta_score_matrix` on one row: a one-row FeatureMatrix such as
+    ``FeatureMatrix.row(i)``, or a plain vector in the model's feature order."""
+    if not isinstance(features, FeatureMatrix):
+        features = np.asarray(features, dtype=np.float64)[None]
+    nll = meta_score_matrix(model, features)
+    if nll.shape != (1,):
+        raise FeatureMismatch(f"expected one feature row, got {nll.shape[0]}")
+    return float(nll[0])
+
+
 def _apply_preproc(model: GmmModel, x: np.ndarray) -> np.ndarray:
     rescaled = (1.0 - 2.0 * model.epsilon) * (x - 0.5) + 0.5
     return standardize_apply(rescaled, model.feat_mean, model.feat_std)
-
-
-def ablate(features, spec: FeatureSetSpec, *, drop: Sequence[str] = (),
-           keep_only: Sequence[str] | None = None, **fit_kwargs) -> GmmModel:
-    """Refit the meta-aggregator on a reduced feature set.
-
-    ``drop`` removes identifiers from ``spec``; ``keep_only`` keeps exactly
-    the named ones. Identifiers must come from ``spec``; an empty result
-    raises EmptyFeatureSet.
-    """
-    known = set(spec.strategies)
-    requested = set(drop) | set(keep_only or ())
-    unknown = requested - known
-    if unknown:
-        raise FeatureMismatch(f"identifiers not in the feature set: {sorted(unknown)}")
-    if keep_only is not None:
-        kept = [s for s in spec.strategies if s in set(keep_only)]
-    else:
-        kept = [s for s in spec.strategies if s not in set(drop)]
-    if not kept:
-        raise EmptyFeatureSet("ablation removed every feature")
-    sub = FeatureSetSpec("custom", tuple(kept))
-    if isinstance(features, FeatureMatrix):
-        return fit_meta(features, sub, **fit_kwargs)
-    x = _match_matrix(features, spec)
-    idx = [spec.strategies.index(s) for s in kept]
-    return fit_meta(x[:, idx], sub, **fit_kwargs)
 
 
 # ---------------------------------------------------------------------------

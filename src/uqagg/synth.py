@@ -19,6 +19,7 @@ so scores can be tracked sample-by-sample across steps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -36,13 +37,15 @@ _PATTERN_PARAMS = {
     "checkerboard": {"high", "low", "period"},
 }
 
-# The parameter that sets a pattern's background level, used by mean matching.
-_BACKGROUND_PARAM = {
-    "constant": "level",
-    "noise": "mean",
-    "blob": "outside",
-    "ring": "outside",
-    "checkerboard": "low",
+# The (foreground, background) level parameters of each pattern. Mean
+# matching moves the background level; constant and noise have no shape, so
+# their one level is the background.
+_LEVELS = {
+    "constant": (None, "level"),
+    "noise": (None, "mean"),
+    "blob": ("inside", "outside"),
+    "ring": ("inside", "outside"),
+    "checkerboard": ("high", "low"),
 }
 
 _LANE_IID = 1
@@ -66,7 +69,10 @@ class SynthSpec:
                 f"unknown pattern {self.pattern!r}; pick from "
                 f"{sorted(_PATTERN_PARAMS)}"
             )
-        size = tuple(int(s) for s in self.size)
+        try:
+            size = tuple(operator.index(s) for s in self.size)
+        except TypeError:  # not a sequence of integers
+            size = ()
         if len(size) != 2 or size[0] < 1 or size[1] < 1:
             raise InvalidSpec(f"size must be two positive integers, got {self.size!r}")
         params = dict(self.params)
@@ -77,7 +83,13 @@ class SynthSpec:
                 raise InvalidSpec(
                     f"pattern {self.pattern!r} does not take parameter {key!r}"
                 )
-            if not math.isfinite(float(value)):
+            try:
+                finite = math.isfinite(float(value))
+            except (TypeError, ValueError):
+                raise InvalidSpec(
+                    f"parameter {key!r} must be a number, got {value!r}"
+                ) from None
+            if not finite:
                 raise InvalidSpec(f"parameter {key!r} must be finite")
         if self.pattern == "checkerboard" and "period" in params:
             period = int(float(params["period"]))
@@ -99,31 +111,35 @@ def _disk(size, row, col, radius) -> np.ndarray:
     return (rr - row) ** 2 + (cc - col) ** 2 <= radius**2
 
 
-def _render(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+def _shape(spec: SynthSpec) -> np.ndarray | None:
+    """The pattern's foreground as a boolean grid: the disk of a blob, the
+    annulus of a ring, the high tiles of a checkerboard; None for constant
+    and noise, which have no shape."""
     m, n = spec.size
-    if spec.pattern == "constant":
-        vals = np.full((m, n), spec.param("level"))
-    elif spec.pattern == "noise":
-        mean = spec.param("mean")
-        amp = spec.param("amp")
-        vals = rng.uniform(mean - amp, mean + amp, size=(m, n))
-    elif spec.pattern == "blob":
-        inside = _disk(spec.size, spec.param("row", (m - 1) / 2.0),
-                       spec.param("col", (n - 1) / 2.0), spec.param("radius"))
-        vals = np.where(inside, spec.param("inside"), spec.param("outside"))
-    elif spec.pattern == "ring":
+    if spec.pattern in ("blob", "ring"):
         row = spec.param("row", (m - 1) / 2.0)
         col = spec.param("col", (n - 1) / 2.0)
-        outer = _disk(spec.size, row, col, spec.param("radius_outer"))
-        inner = _disk(spec.size, row, col, spec.param("radius_inner"))
-        vals = np.where(outer & ~inner, spec.param("inside"), spec.param("outside"))
-    elif spec.pattern == "checkerboard":
+        if spec.pattern == "blob":
+            return _disk(spec.size, row, col, spec.param("radius"))
+        return _disk(spec.size, row, col, spec.param("radius_outer")) & ~_disk(
+            spec.size, row, col, spec.param("radius_inner")
+        )
+    if spec.pattern == "checkerboard":
         period = int(spec.param("period"))
         rr, cc = np.indices((m, n))
-        parity = (rr // period + cc // period) % 2
-        vals = np.where(parity == 0, spec.param("high"), spec.param("low"))
-    else:  # pragma: no cover - guarded in __post_init__
-        raise InvalidSpec(spec.pattern)
+        return (rr // period + cc // period) % 2 == 0
+    return None
+
+
+def _render(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
+    on, off = _LEVELS[spec.pattern]
+    if spec.pattern == "noise":
+        mean, amp = spec.param("mean"), spec.param("amp")
+        vals = rng.uniform(mean - amp, mean + amp, size=spec.size)
+    elif on is None:
+        vals = np.full(spec.size, spec.param(off))
+    else:
+        vals = np.where(_shape(spec), spec.param(on), spec.param(off))
     return np.clip(vals.astype(np.float64), 0.0, 1.0)
 
 
@@ -139,34 +155,19 @@ def pattern_mask(spec: SynthSpec) -> SegmentationMask:
     constant/noise have no geometry, so a centered disk of radius
     min(m, n) / 4 stands in as a plausible foreground.
     """
-    m, n = spec.size
-    if spec.pattern == "blob":
-        fg = _disk(spec.size, spec.param("row", (m - 1) / 2.0),
-                   spec.param("col", (n - 1) / 2.0), spec.param("radius"))
-    elif spec.pattern == "ring":
-        row = spec.param("row", (m - 1) / 2.0)
-        col = spec.param("col", (n - 1) / 2.0)
-        fg = _disk(spec.size, row, col, spec.param("radius_outer")) & ~_disk(
-            spec.size, row, col, spec.param("radius_inner")
-        )
-    elif spec.pattern == "checkerboard":
-        period = int(spec.param("period"))
-        rr, cc = np.indices((m, n))
-        fg = (rr // period + cc // period) % 2 == 0
-    else:
+    fg = _shape(spec)
+    if fg is None:
+        m, n = spec.size
         fg = _disk(spec.size, (m - 1) / 2.0, (n - 1) / 2.0, min(m, n) / 4.0)
     return SegmentationMask(fg.astype(np.int64))
 
 
 def expected_mean(spec: SynthSpec) -> float:
     """Expected map mean under the base parameters (jitter excluded)."""
-    if spec.pattern == "constant":
-        return spec.param("level")
-    if spec.pattern == "noise":
-        return spec.param("mean")
-    # the mean over the pattern's foreground, its high tiles or its shape
-    on, off = ("high", "low") if spec.pattern == "checkerboard" else ("inside", "outside")
-    f = float((pattern_mask(spec).labels == 1).mean())
+    on, off = _LEVELS[spec.pattern]
+    if on is None:
+        return spec.param(off)
+    f = float(_shape(spec).mean())
     return f * spec.param(on) + (1.0 - f) * spec.param(off)
 
 
@@ -185,13 +186,13 @@ def _jittered(spec: SynthSpec, rng: np.random.Generator) -> SynthSpec:
     return replace(spec, params=params)
 
 
-def match_background(ood_spec: SynthSpec, target_mean: float) -> SynthSpec:
+def _match_background(ood_spec: SynthSpec, target_mean: float) -> SynthSpec:
     """Adjust the pattern's background parameter to hit ``target_mean``.
 
     Solves the linear expected-mean identity for the background level; raises
     InvalidSpec when no value in [0, 1] can reach the target.
     """
-    name = _BACKGROUND_PARAM[ood_spec.pattern]
+    name = _LEVELS[ood_spec.pattern][1]
     params = dict(ood_spec.params)
     params[name] = 0.0
     at_zero = expected_mean(replace(ood_spec, params=params))
@@ -231,14 +232,8 @@ class Benchmark:
     def maps(self) -> list[UncertaintyMap]:
         return [s.map for s in self.samples]
 
-    def masks(self) -> list[SegmentationMask | None]:
-        return [s.mask for s in self.samples]
-
     def labels(self) -> np.ndarray:
         return np.array([s.ood_label for s in self.samples])
-
-    def risks(self) -> np.ndarray:
-        return np.array([s.risk for s in self.samples])
 
 
 def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSpec,
@@ -270,7 +265,7 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
     if not steps or any(not (0.0 <= s <= 1.0) for s in steps):
         raise InvalidSpec(f"ladder intensities must lie in [0, 1], got {steps!r}")
     if match_means:
-        ood_spec = match_background(ood_spec, expected_mean(iid_spec))
+        ood_spec = _match_background(ood_spec, expected_mean(iid_spec))
 
     width = max(4, len(str(max(n_iid, n_ood))))
 

@@ -167,6 +167,30 @@ def test_gmm_fit_score_eval_rank(bench_dir, scores_csv, tmp_path):
     assert len(pvals) == 12 and len(pvals[0]) == 12
 
 
+def test_gmm_strategy_agrees_with_gmm_score(bench_dir, scores_csv, tmp_path):
+    # aggregate scores one row at a time and gmm-score all rows at once; the
+    # triangular solve rounds differently with one right-hand side than with
+    # n, so the two columns agree to rounding, not to the byte.
+    model = tmp_path / "model.json"
+    res = run_cli(
+        "gmm-fit", "--features", str(scores_csv), "--variant", "custom",
+        "--strategies", "avg,plm:10,bca,qfr,mor,eds,ent", "--k-max", "3",
+        "--out", str(model),
+    )
+    assert res.returncode == 0, res.stderr
+    scored, aggregated = tmp_path / "scored.csv", tmp_path / "aggregated.csv"
+    res = run_cli("gmm-score", "--model", str(model), "--features",
+                  str(scores_csv), "--out", str(scored))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("aggregate", "--manifest", str(bench_dir / "manifest.csv"),
+                  "--strategies", f"gmm:{model}", "--out", str(aggregated))
+    assert res.returncode == 0, res.stderr
+    ids_s, _, batch = read_scores(scored)
+    ids_a, _, rowwise = read_scores(aggregated)
+    assert ids_s == ids_a
+    np.testing.assert_allclose(rowwise[:, 0], batch[:, -1], rtol=1e-12, atol=0)
+
+
 def test_rank_rejects_inputs_sharing_a_dataset_name(tmp_path):
     paths = []
     for sub in ("a", "b"):

@@ -6,7 +6,6 @@ import pytest
 from uqagg import (
     EmptyGrid,
     FeatureMatrix,
-    FeatureVector,
     InvalidStack,
     NonFinite,
     NonTwoDimensional,
@@ -115,23 +114,26 @@ def test_stack_shape_validation():
         ProbabilityStack(np.zeros((2, 2, 4)))
 
 
-def test_feature_vector_lookup():
-    v = FeatureVector(("avg", "mor"), np.array([0.25, 0.75]))
-    assert v.get("mor") == 0.75
-    with pytest.raises(FeatureMismatch):
-        v.get("ent")
-    with pytest.raises(ShapeMismatch):
-        FeatureVector(("avg",), np.array([0.1, 0.2]))
-
-
 def test_feature_matrix_selection():
     m = FeatureMatrix(("a", "b", "c"), np.arange(12.0).reshape(4, 3))
     assert m.n_samples == 4
     np.testing.assert_array_equal(m.column("b"), [1.0, 4.0, 7.0, 10.0])
     sub = m.select(("c", "a"))
     assert sub.names == ("c", "a")
-    np.testing.assert_array_equal(sub.row(1).values, [5.0, 3.0])
+    np.testing.assert_array_equal(sub.row(1).values, [[5.0, 3.0]])
+    assert sub.row(-1).names == ("c", "a")
     with pytest.raises(FeatureMismatch):
         m.select(("a", "zz"))
     with pytest.raises(ShapeMismatch):
         FeatureMatrix(("a",), np.zeros((2, 2)))
+
+
+def test_all_lists_every_public_name():
+    import types
+
+    import uqagg
+
+    bound = {name for name, value in vars(uqagg).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(uqagg.__all__) == sorted(bound)
+    assert len(uqagg.__all__) == len(set(uqagg.__all__))

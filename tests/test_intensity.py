@@ -18,7 +18,6 @@ from uqagg import (
     plm,
     qfr,
     validate_map,
-    wca,
 )
 from uqagg.core import SegmentationMask
 from uqagg.errors import InvalidParam
@@ -240,7 +239,7 @@ def _two_class_fixture():
 
 def test_class_averages_fixture():
     u, mask = _two_class_fixture()
-    per = class_averages(u, mask).per_class
+    per = class_averages(u, mask)
     assert set(per) == {1, 2}
     assert per[1].alpha == pytest.approx(0.2, abs=1e-12)
     assert per[1].area == 3
@@ -257,16 +256,6 @@ def test_ica_area_weights_frozen():
     u, mask = _two_class_fixture()
     # (3*.2 + 1*.8)/4 = 0.35
     assert ica(u, mask) == pytest.approx(0.35, abs=1e-12)
-
-
-def test_wca_general_form_recovers_both():
-    u, mask = _two_class_fixture()
-    assert wca(u, mask, {1: 0.5, 2: 0.5}) == pytest.approx(bca(u, mask), abs=1e-12)
-    assert wca(u, mask, {1: 0.75, 2: 0.25}) == pytest.approx(ica(u, mask), abs=1e-12)
-    with pytest.raises(InvalidParam):
-        wca(u, mask, {1: 0.9, 2: 0.2})  # weights must sum to 1
-    with pytest.raises(InvalidParam):
-        wca(u, mask, {1: 1.0})  # every present class needs a weight
 
 
 def test_background_is_excluded():

@@ -267,7 +267,7 @@ def test_manifest_round_trip(tmp_path):
     assert [r.sample_id for r in got.rows] == ["a", "b"]
     assert [r.ood_label for r in got.rows] == [0, 1]
     assert [r.risk for r in got.rows] == [0.25, 0.75]
-    assert not got.has_masks
+    assert all(r.mask_path is None for r in got.rows)
     # resolution is relative to the manifest's directory
     assert got.resolve(got.rows[0].map_path) == str(tmp_path / "maps" / "a.npy")
 
@@ -362,7 +362,7 @@ def test_read_json_names_the_path(tmp_path):
 def test_manifest_constructor_is_plain_container(tmp_path):
     m = Manifest(rows=(ManifestRow("a", "x.npy", "y.npy", None, None),),
                  base_dir=str(tmp_path))
-    assert m.has_masks
+    assert m.rows[0].mask_path == "y.npy"
 
 
 # ---------------------------------------------------------------------------

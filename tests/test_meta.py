@@ -8,9 +8,7 @@ import pytest
 from uqagg import (
     FeatureMatrix,
     FeatureSetSpec,
-    FeatureVector,
     GmmModel,
-    ablate,
     bic,
     em_fit,
     epsilon_rescale,
@@ -233,11 +231,11 @@ def test_meta_score_name_matching_ignores_order():
     rng = np.random.default_rng(19)
     x = np.clip(rng.random((40, 2)), 0, 1)
     model = fit_meta(x, FeatureSetSpec.custom(["avg", "mor"]), k_max=2, seed=0)
-    fv = FeatureVector(("mor", "avg"), np.array([0.7, 0.2]))
+    row = FeatureMatrix(("mor", "avg"), np.array([[0.7, 0.2]]))
     direct = meta_score(model, np.array([0.2, 0.7]))
-    assert meta_score(model, fv) == pytest.approx(direct, rel=1e-15)
+    assert meta_score(model, row) == pytest.approx(direct, rel=1e-15)
     with pytest.raises(FeatureMismatch):
-        meta_score(model, FeatureVector(("avg", "ent"), np.array([0.2, 0.7])))
+        meta_score(model, FeatureMatrix(("avg", "ent"), np.array([[0.2, 0.7]])))
 
 
 def test_meta_score_matrix_matches_rowwise():
@@ -272,7 +270,7 @@ def test_meta_score_mixture_weights_enter_likelihood():
 
 
 # ---------------------------------------------------------------------------
-# feature-set specs and ablation
+# feature-set specs
 
 
 def test_feature_set_spec_variants():
@@ -283,21 +281,8 @@ def test_feature_set_spec_variants():
         FeatureSetSpec.custom(["avg", "nope"])
     with pytest.raises(InvalidParam):
         FeatureSetSpec.custom(["gmm:model.json"])  # no nesting
-
-
-def test_ablate_drop_and_keep():
-    rng = np.random.default_rng(29)
-    x = np.clip(rng.random((60, 3)), 0, 1)
-    spec = FeatureSetSpec.custom(["avg", "mor", "ent"])
-    fm = FeatureMatrix(("avg", "mor", "ent"), x)
-    dropped = ablate(fm, spec, drop=["mor"], k_max=2, seed=0)
-    assert dropped.feature_spec.strategies == ("avg", "ent")
-    kept = ablate(fm, spec, keep_only=["mor"], k_max=2, seed=0)
-    assert kept.feature_spec.strategies == ("mor",)
-    with pytest.raises(FeatureMismatch):
-        ablate(fm, spec, drop=["eds"], k_max=2, seed=0)
     with pytest.raises(EmptyFeatureSet):
-        ablate(fm, spec, drop=["avg", "mor", "ent"], k_max=2, seed=0)
+        FeatureSetSpec.custom([])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ from uqagg import (
     expected_mean,
     gen_benchmark,
     generate,
-    match_background,
     pattern_mask,
 )
+from uqagg.synth import _match_background
 from uqagg.rng import stream
 
 
@@ -45,6 +45,18 @@ def test_spec_validation():
     for use in (generate, pattern_mask, expected_mean):
         with pytest.raises(InvalidSpec, match="period must be >= 1, got 0"):
             use(SynthSpec("checkerboard", (4, 4), board))
+
+
+@pytest.mark.parametrize("pattern, size, params, key", [
+    ("noise", (8, 8), {"mean": "x", "amp": 0.1}, "mean"),
+    ("noise", ("a", 8), {"mean": 0.5, "amp": 0.1}, "size"),
+    ("noise", 8, {"mean": 0.5, "amp": 0.1}, "size"),
+    ("checkerboard", (8, 8), {"high": 0.9, "low": 0.1, "period": "p"}, "period"),
+    ("noise", (8, 8), {"mean": None, "amp": 0.1}, "mean"),
+])
+def test_wrong_typed_spec_value_is_invalid_spec(pattern, size, params, key):
+    with pytest.raises(InvalidSpec, match=key):
+        SynthSpec(pattern, size, params)
 
 
 def test_jittered_checkerboard_period_is_checked():
@@ -137,7 +149,7 @@ def test_expected_mean_matches_empirical_noise():
 
 def test_match_background_hits_target():
     blob = _blob(size=(32, 32), inside=0.9, radius=6.0)
-    matched = match_background(blob, 0.3)
+    matched = _match_background(blob, 0.3)
     assert expected_mean(matched) == pytest.approx(0.3, abs=1e-12)
     assert matched.params["inside"] == 0.9  # only the background moves
 
@@ -146,11 +158,11 @@ def test_match_background_infeasible():
     # a dominant low-valued blob caps the reachable mean well below 0.99
     blob = _blob(size=(64, 64), inside=0.1, outside=0.5, radius=30.0)
     with pytest.raises(InvalidSpec):
-        match_background(blob, 0.99)
+        _match_background(blob, 0.99)
     # a blob covering the whole map leaves the background no area at all
     full = _blob(size=(16, 16), radius=50.0)
     with pytest.raises(InvalidSpec):
-        match_background(full, 0.5)
+        _match_background(full, 0.5)
 
 
 # ---------------------------------------------------------------------------
