@@ -25,6 +25,7 @@ from .errors import (
     EmptyInput,
     InvalidParam,
     LengthMismatch,
+    NonFinite,
     ShapeMismatch,
     SingleClass,
     StrategySetMismatch,
@@ -59,31 +60,68 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _numeric(x) -> np.ndarray:
+    """``x`` as an array: integers as they are, anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.float64)
+
+
+def _codes(x: np.ndarray) -> np.ndarray:
+    """Dense integer codes of the values of each row along the last axis.
+
+    Codes keep the order and the ties of the values, as the comparisons of a
+    stable sort see them (each NaN is its own value, after every number), so
+    a stable sort of the codes is the stable sort of the values.
+    """
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="stable")
+    sx = np.take_along_axis(x, order, axis=-1)
+    opens = np.zeros(x.shape, dtype=np.intp)
+    opens[..., 1:] = sx[..., 1:] != sx[..., :-1]
+    codes = np.empty(x.shape, dtype=np.uint16 if n <= 65536 else np.intp)
+    np.put_along_axis(codes, order, np.cumsum(opens, axis=-1), axis=-1)
+    return codes
+
+
 def auroc(scores, labels):
     """Probability that a positive outscores a negative, ties worth 0.5.
 
     ``labels`` are 0/1 with 1 the positive class; both classes must appear.
     ``scores`` is one score per label, or an ``(s, n)`` block with one row of
     scores per strategy: a 1-D input returns a float, a block one value per
-    row.
+    row. Integer scores are taken as they are, never cast to float; values in
+    [0, n) serve directly as the rank codes of :func:`bootstrap_table`.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _numeric(scores)
     labels = np.asarray(labels)
     if scores.ndim not in (1, 2) or labels.ndim != 1:
         raise InvalidParam("scores must be 1-D or (s, n) and labels 1-D")
-    if scores.shape[-1] != len(labels):
-        raise LengthMismatch(f"{scores.shape[-1]} scores vs {len(labels)} labels")
+    n = len(labels)
+    if scores.shape[-1] != n:
+        raise LengthMismatch(f"{scores.shape[-1]} scores vs {n} labels")
     pos = labels == 1
     if not (pos | (labels == 0)).all():
         raise InvalidParam("labels must be 0 or 1")
     n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
+    n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClass(f"need both classes, got {n_pos} positives of {len(labels)}")
-    # Rank sums are sums of half-integers, exact in any summation order.
-    rank_sums = _rankdata(scores)[..., pos].sum(axis=-1)
+        raise SingleClass(f"need both classes, got {n_pos} positives of {n}")
+    codes = scores.reshape(-1, n)
+    in_range = 0 <= codes.min(initial=0) and codes.max(initial=0) < n
+    if scores.dtype.kind == "f" or not in_range:
+        codes = _codes(codes)
+    # Per code: how many samples carry it and how many of them are positive,
+    # one bincount each over the codes shifted by row * n. A code's midrank
+    # is the count below it plus (count + 1) / 2. Rank sums are sums of
+    # half-integer products <= n^2, exact in any summation order.
+    size = len(codes) * n
+    keys = codes + np.arange(0, size, n)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=size).reshape(-1, n)
+    positives = np.bincount(keys[:, pos].ravel(), minlength=size).reshape(-1, n)
+    midranks = np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
+    rank_sums = (positives * midranks).sum(axis=1)
     values = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return float(values) if scores.ndim == 1 else values
+    return float(values[0]) if scores.ndim == 1 else values
 
 
 def dice(pred, gt, mode: str = "micro") -> float:
@@ -132,7 +170,7 @@ class RiskCoverageCurve:
 
 def _check_curve_inputs(risks, confidences) -> tuple[np.ndarray, np.ndarray]:
     risks = np.asarray(risks, dtype=np.float64)
-    confidences = np.asarray(confidences, dtype=np.float64)
+    confidences = _numeric(confidences)
     if risks.ndim != 1 or confidences.ndim not in (1, 2):
         raise InvalidParam("risks must be 1-D and confidences 1-D or (s, n)")
     if confidences.shape[-1] != len(risks):
@@ -214,7 +252,9 @@ def eaurc(risks, confidences):
     go negative. Float noise above -1e-12 is clamped to zero.
     ``confidences`` is one value per risk, or an ``(s, n)`` block with one row
     per strategy: a 1-D input returns a float, a block one value per row. The
-    oracle curve is built once per call.
+    oracle curve is built once per call. Integer confidences, such as the rank
+    codes of :func:`bootstrap_table`, are taken as they are, never cast to
+    float: only their order and ties enter the curve.
     """
     risks, confidences = _check_curve_inputs(risks, confidences)
     oracle = _aurc_rows(risks, -risks[None])[0]
@@ -237,6 +277,11 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     break a metric precondition (single class for AUROC) are redrawn from the
     same iteration stream, at most 100 times. Each resample is one metric call
     on the block of its columns.
+
+    The scores (for ``eaurc`` the confidences) are turned into integer rank
+    codes once per call. A resample only repeats values of the full sample,
+    so the codes of its columns keep every order and tie the metric sees, and
+    no resample sorts floats.
     """
     if metric not in ("auroc", "eaurc"):
         raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
@@ -251,17 +296,22 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     n = len(target)
     if n == 0:
         raise EmptyInput("no samples to evaluate")
+    if np.isnan(scores).any():
+        # A NaN has no rank: resampled twice it would tie with itself as a
+        # code but not as a float.
+        raise NonFinite("scores contain NaN")
+    codes = _codes(-scores if metric == "eaurc" else scores)
     out = np.empty((b, len(scores)), dtype=np.float64)
     for i in range(b):
         rng = stream(seed, _LANE_BOOTSTRAP, i)
         for _ in range(_REDRAW_LIMIT + 1):
             idx = rng.integers(0, n, size=n)
             if metric == "eaurc":
-                out[i] = eaurc(target[idx], -scores[:, idx])
+                out[i] = eaurc(target[idx], codes[:, idx])
                 break
             labels = target[idx]
             if labels.min() != labels.max():
-                out[i] = auroc(scores[:, idx], labels)
+                out[i] = auroc(codes[:, idx], labels)
                 break
         else:
             raise SingleClass(

@@ -148,30 +148,31 @@ class EmResult:
     converged: bool
 
 
-def _log_gauss(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = x.shape[1]
+def _log_components(x, weights, means, covs) -> np.ndarray:
+    """``log(weight) + log N(x | mean, cov)`` per row and component, ``(n, K)``.
+
+    All components of positive weight go through one stacked Cholesky
+    factorization; each factor is inverted once, and one stacked matmul
+    whitens the differences. A zero-weight component gets a -inf column and
+    its stale covariance is never factored.
+    """
+    n, d = x.shape
+    logp = np.full((n, len(weights)), -np.inf)
+    live = np.flatnonzero(weights > 0.0)
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(covs[live])
     except np.linalg.LinAlgError:
         raise SingularCovariance(
             "covariance not positive definite; use a positive ridge"
         ) from None
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    solved = np.linalg.solve(chol, (x - mean).T)
-    maha = (solved * solved).sum(axis=0)
-    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
-
-
-def _log_components(x, weights, means, covs) -> np.ndarray:
-    cols = []
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    for j in range(len(weights)):
-        if weights[j] <= 0.0:
-            cols.append(np.full(x.shape[0], -np.inf))
-        else:
-            cols.append(logw[j] + _log_gauss(x, means[j], covs[j]))
-    return np.stack(cols, axis=1)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    # Column i of white[j] is L_j^-1 (x_i - mean_j), so its squared norm is
+    # the Mahalanobis distance under cov_j = L_j L_j^T.
+    white = np.linalg.inv(chol) @ (x.T[None] - means[live][:, :, None])
+    maha = (white * white).sum(axis=1)
+    logp[:, live] = (np.log(weights[live])[:, None] - 0.5 * (
+        d * math.log(2.0 * math.pi) + logdet[:, None] + maha)).T
+    return logp
 
 
 def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:

@@ -48,6 +48,9 @@ _LEVELS = {
     "checkerboard": ("high", "low"),
 }
 
+# Tile indices are int64 pixel coordinates floor-divided by the period.
+_PERIOD_MAX = np.iinfo(np.int64).max
+
 _LANE_IID = 1
 _LANE_OOD_BASE = 2
 _LANE_OOD_PATTERN = 3
@@ -64,7 +67,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pattern not in _PATTERN_PARAMS:
+        if not isinstance(self.pattern, str) or self.pattern not in _PATTERN_PARAMS:
             raise InvalidSpec(
                 f"unknown pattern {self.pattern!r}; pick from "
                 f"{sorted(_PATTERN_PARAMS)}"
@@ -75,10 +78,17 @@ class SynthSpec:
             size = ()
         if len(size) != 2 or size[0] < 1 or size[1] < 1:
             raise InvalidSpec(f"size must be two positive integers, got {self.size!r}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise InvalidSpec(f"seed must be an integer, got {self.seed!r}") from None
+        if not isinstance(self.params, Mapping):
+            raise InvalidSpec(f"params must be a mapping, got {self.params!r}")
         params = dict(self.params)
         allowed = _PATTERN_PARAMS[self.pattern]
         for key, value in params.items():
-            base = key[: -len("_jitter")] if key.endswith("_jitter") else key
+            jitter = isinstance(key, str) and key.endswith("_jitter")
+            base = key[: -len("_jitter")] if jitter else key
             if base not in allowed:
                 raise InvalidSpec(
                     f"pattern {self.pattern!r} does not take parameter {key!r}"
@@ -95,8 +105,14 @@ class SynthSpec:
             period = int(float(params["period"]))
             if period < 1:
                 raise InvalidSpec(f"checkerboard period must be >= 1, got {period}")
+            if period > _PERIOD_MAX:
+                raise InvalidSpec(
+                    f"checkerboard period must be <= {_PERIOD_MAX}, "
+                    f"got {params['period']!r}"
+                )
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "seed", seed)
 
     def param(self, name: str, default=None) -> float:
         if name in self.params:

@@ -169,8 +169,8 @@ def test_gmm_fit_score_eval_rank(bench_dir, scores_csv, tmp_path):
 
 def test_gmm_strategy_agrees_with_gmm_score(bench_dir, scores_csv, tmp_path):
     # aggregate scores one row at a time and gmm-score all rows at once; the
-    # triangular solve rounds differently with one right-hand side than with
-    # n, so the two columns agree to rounding, not to the byte.
+    # whitening matmul rounds differently for one row than for n, so the two
+    # columns agree to rounding, not to the byte.
     model = tmp_path / "model.json"
     res = run_cli(
         "gmm-fit", "--features", str(scores_csv), "--variant", "custom",

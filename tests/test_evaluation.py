@@ -1,9 +1,12 @@
+import collections
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqagg import (
     auroc,
@@ -16,13 +19,15 @@ from uqagg import (
     significance_matrix,
     wilcoxon_one_sided,
 )
-from uqagg.evaluation import _rankdata
+from uqagg import evaluation
+from uqagg.evaluation import _codes, _rankdata
 from uqagg.rng import stream
 from uqagg.errors import (
     AllZeroDifferences,
     EmptyInput,
     InvalidParam,
     LengthMismatch,
+    NonFinite,
     ShapeMismatch,
     SingleClass,
     StrategySetMismatch,
@@ -494,6 +499,124 @@ def test_bootstrap_table_equals_reference_loop():
         if metric == "auroc":
             assert redraws > 0
         assert table.tobytes() == ref.tobytes()
+
+
+def _bootstrap_float_loop(scores, target, metric, b, seed):
+    # The per-resample float path that the rank codes replaced, kept as the
+    # bit-level reference: AUROC from the tie-averaged float ranks of each
+    # resampled block, E-AURC from a float sort of its negated scores.
+    n = len(target)
+    out = np.empty((b, len(scores)))
+    redraws = 0
+    for i in range(b):
+        rng = stream(seed, 21, i)
+        idx = rng.integers(0, n, size=n)
+        if metric == "eaurc":
+            out[i] = eaurc(target[idx], -scores[:, idx])
+            continue
+        while target[idx].min() == target[idx].max():
+            redraws += 1
+            idx = rng.integers(0, n, size=n)
+        pos = target[idx] == 1
+        n_pos = int(pos.sum())
+        rank_sums = _rankdata(scores[:, idx])[:, pos].sum(axis=1)
+        out[i] = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    return out, redraws
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()   # also tells -0.0 from 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bootstrap_table_equals_float_loop_on_tied_blocks(data):
+    s = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(2, 40))
+    levels = data.draw(st.integers(1, 4))
+    # A few levels per block, signed, so ties are the rule.
+    cell = st.integers(-levels, levels).map(lambda v: v / levels)
+    row = st.lists(cell, min_size=n, max_size=n)
+    scores = np.array(data.draw(st.lists(row, min_size=s, max_size=s)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[:2] = [1, 0]
+    risks = np.abs(np.array(data.draw(row)))
+    seed = data.draw(st.integers(0, 2**32))
+    for metric, target in (("auroc", labels), ("eaurc", risks)):
+        want, _ = _bootstrap_float_loop(scores, target, metric, 8, seed)
+        _assert_same_bits(bootstrap_table(scores, target, metric, b=8, seed=seed), want)
+
+
+def test_bootstrap_table_equals_float_loop_with_redraws():
+    rng = np.random.default_rng(41)
+    scores = np.round(rng.random((3, 8)), 1)
+    labels = (np.arange(8) == 3).astype(int)   # one positive in eight
+    want, redraws = _bootstrap_float_loop(scores, labels, "auroc", 50, 9)
+    assert redraws > 0
+    _assert_same_bits(bootstrap_table(scores, labels, "auroc", b=50, seed=9), want)
+
+
+def test_bootstrap_table_equals_float_loop_beyond_16_bit_codes():
+    rng = np.random.default_rng(42)
+    n = 70_000
+    scores = np.round(rng.random((1, n)), 3)
+    assert _codes(scores).dtype == np.intp
+    assert _codes(scores[:, :65_536]).dtype == np.uint16
+    labels = (rng.random(n) < 0.5).astype(int)
+    risks = np.round(rng.random(n), 2)
+    for metric, target in (("auroc", labels), ("eaurc", risks)):
+        want, _ = _bootstrap_float_loop(scores, target, metric, 2, 3)
+        _assert_same_bits(bootstrap_table(scores, target, metric, b=2, seed=3), want)
+
+
+def test_codes_keep_order_and_ties():
+    x = np.array([[0.5, -0.0, 0.5, np.inf, 0.0, -2.0, np.nan, np.nan]])
+    np.testing.assert_array_equal(_codes(x), [[2, 1, 2, 3, 1, 0, 4, 5]])
+    ints = np.array([7, -3, 7, 10**12])
+    np.testing.assert_array_equal(_codes(ints), [1, 0, 1, 2])
+
+
+def test_auroc_integer_scores_match_float_scores():
+    rng = np.random.default_rng(43)
+    labels = rng.integers(0, 2, size=50)
+    labels[:2] = [1, 0]
+    for scores in (rng.integers(0, 50, size=(3, 50)),       # usable as codes
+                   rng.integers(-5, 5, size=(3, 50)),       # negative
+                   rng.integers(0, 10**15, size=(3, 50))):  # beyond n
+        got = auroc(scores, labels)
+        assert got.tobytes() == auroc(scores.astype(float), labels).tobytes()
+
+
+def test_bootstrap_table_refuses_nan_scores():
+    # Resampled twice, a NaN would tie with itself as a code but not as a float.
+    with pytest.raises(NonFinite):
+        bootstrap_table(np.array([[0.1, np.nan, 0.3]]), [0, 1, 1], "auroc", b=2)
+
+
+def test_bootstrap_calls_stream_and_metric_once_per_resample(monkeypatch):
+    # The benchmark's tracer times the metric and the stream through these
+    # module globals, once per resample; a refactor that bypasses them
+    # leaves its spans empty.
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("auroc", "eaurc", "stream"):
+        monkeypatch.setattr(evaluation, name, counting(name))
+    scores = np.round(np.random.default_rng(44).random((2, 8)), 1)
+    labels = (np.arange(8) == 0).astype(int)   # redraws reuse the iteration's stream
+    bootstrap_table(scores, labels, "auroc", b=30, seed=1)
+    assert calls == {"stream": 30, "auroc": 30}
+    calls.clear()
+    bootstrap_table(scores, np.linspace(0.0, 1.0, 8), "eaurc", b=30, seed=1)
+    assert calls == {"stream": 30, "eaurc": 30}
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ from uqagg.errors import (
     NonFinite,
     OutOfRange,
     ParseError,
+    SingularCovariance,
     TooFewSamples,
     UnknownStrategy,
 )
+from uqagg.meta import _log_components
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -133,6 +135,62 @@ def test_em_deterministic_and_restart_best():
     # more restarts can only match or improve the kept log-likelihood
     worse = em_fit(x, 2, seed=42, restarts=1)
     assert a.loglik >= worse.loglik - 1e-9
+
+
+def _eigh_log_components(x, weights, means, covs):
+    # log(weight) + log-density per component from an eigendecomposition,
+    # independent of the Cholesky path.
+    cols = []
+    for w, mu, cov in zip(weights, means, covs):
+        if w <= 0.0:
+            cols.append(np.full(len(x), -np.inf))
+            continue
+        vals, vecs = np.linalg.eigh(cov)
+        maha = ((((x - mu) @ vecs) ** 2) / vals).sum(axis=1)
+        logdet = np.log(vals).sum()
+        cols.append(math.log(w) - 0.5 * (x.shape[1] * LOG_2PI + logdet + maha))
+    return np.stack(cols, axis=1)
+
+
+def _spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T + 0.1 * np.eye(d)
+
+
+def test_log_components_match_eigh_density():
+    rng = np.random.default_rng(13)
+    d = 5
+    x = rng.normal(size=(40, d))
+    weights = np.array([0.3, 0.0, 0.7])
+    means = rng.normal(size=(3, d))
+    # The zero-weight component keeps a stale, indefinite covariance: it must
+    # get a -inf column without being factored.
+    covs = np.stack([_spd(rng, d), -np.eye(d), _spd(rng, d)])
+    got = _log_components(x, weights, means, covs)
+    want = _eigh_log_components(x, weights, means, covs)
+    assert got.shape == (40, 3)
+    assert (got[:, 1] == -np.inf).all()
+    np.testing.assert_allclose(got[:, [0, 2]], want[:, [0, 2]], rtol=1e-12, atol=0)
+
+
+def test_log_components_refuse_indefinite_live_covariance():
+    rng = np.random.default_rng(14)
+    covs = np.stack([_spd(rng, 3), np.diag([1.0, -1.0, 1.0]), _spd(rng, 3)])
+    with pytest.raises(SingularCovariance):
+        _log_components(rng.normal(size=(10, 3)), np.full(3, 1.0 / 3.0),
+                        rng.normal(size=(3, 3)), covs)
+
+
+def test_em_iterations_and_selected_k_frozen():
+    # Three separated clusters in four features. A change that only rounds
+    # the E-step differently must keep these iteration counts and K.
+    rng = np.random.default_rng(12)
+    centers = np.array([[0.2, 0.3, 0.7, 0.5], [0.7, 0.6, 0.2, 0.4], [0.5, 0.8, 0.5, 0.8]])
+    x = np.vstack([np.clip(c + 0.06 * rng.normal(size=(60, 4)), 0, 1) for c in centers])
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    assert [em_fit(z, k, seed=3).n_iter for k in range(1, 6)] == [3, 11, 7, 25, 19]
+    spec = FeatureSetSpec.custom(["avg", "mor", "eds", "ent"])
+    assert fit_meta(x, spec, k_max=5, seed=3).k == 3
 
 
 def test_em_validation():

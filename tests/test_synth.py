@@ -59,6 +59,18 @@ def test_wrong_typed_spec_value_is_invalid_spec(pattern, size, params, key):
         SynthSpec(pattern, size, params)
 
 
+@pytest.mark.parametrize("pattern, params, seed, key", [
+    (["blob"], {"inside": 0.8, "outside": 0.2, "radius": 4.0}, 0, "pattern"),
+    ("noise", [1, 2], 0, "params"),
+    ("noise", {"mean": 0.5, "amp": 0.1}, "x", "seed"),
+    ("noise", {"mean": 0.5, "amp": 0.1}, 1.5, "seed"),
+    ("checkerboard", {"high": 0.9, "low": 0.1, "period": 1e300}, 0, "period"),
+])
+def test_mistyped_spec_field_is_invalid_spec(pattern, params, seed, key):
+    with pytest.raises(InvalidSpec, match=key):
+        SynthSpec(pattern, (8, 8), params, seed)
+
+
 def test_jittered_checkerboard_period_is_checked():
     iid = _noise()
     board = SynthSpec("checkerboard", (16, 16),
