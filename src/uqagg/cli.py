@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="sample manifest CSV")
     p.add_argument(
         "--strategies", required=True,
-        help="comma-separated identifiers, e.g. avg,plm:20,ata:0.5,mor,"
-        "gmm:model.json",
+        help="comma-separated identifiers, e.g. avg,plm:20,ata:0.5,mor",
     )
     p.add_argument("--out", required=True, help="output score table CSV")
     p.add_argument("--jobs", type=int, default=1,
@@ -176,6 +175,8 @@ def _load(manifest: io.Manifest, row: io.ManifestRow, rel: str, make):
 
 
 def _cmd_aggregate(args) -> int:
+    if args.jobs < 1:
+        raise InvalidParam(f"--jobs must be at least 1, got {args.jobs}")
     strategies = parse_strategy_list(args.strategies)
     manifest = io.read_manifest(args.manifest)
     if not manifest.rows:
@@ -198,11 +199,10 @@ def _cmd_aggregate(args) -> int:
         except UqaggError as exc:
             raise type(exc)(f"sample {row.sample_id!r}, {exc}") from None
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    if args.jobs == 1:
         results = [score_row(row) for row in manifest.rows]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(score_row, manifest.rows))
 
     for row, (_, skipped) in zip(manifest.rows, results):
@@ -351,6 +351,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if not 0.0 < args.alpha < 1.0:  # NaN fails too
+        raise InvalidParam(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     direction = "higher" if args.metric == "auroc" else "lower"
     datasets: dict[str, str] = {}
     for path in args.inputs:

@@ -42,22 +42,8 @@ _TIES_NAMED = 3
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
     """Ranks starting at 1 along the last axis, ties averaged."""
-    n = x.shape[-1]
-    order = np.argsort(x, axis=-1, kind="stable")
-    sx = np.take_along_axis(x, order, axis=-1)
-    # A tie group spans sorted positions [start, end]: start is the last
-    # group opening at or before a position, end the first group closing at
-    # or after it. Every member gets the group's mean rank, 0.5*(start+1+end+1).
-    opens = np.ones(x.shape, dtype=bool)
-    opens[..., 1:] = sx[..., 1:] != sx[..., :-1]
-    closes = np.ones(x.shape, dtype=bool)
-    closes[..., :-1] = opens[..., 1:]
-    pos = np.arange(n)
-    start = np.maximum.accumulate(np.where(opens, pos, 0), axis=-1)
-    end = np.minimum.accumulate(np.where(closes, pos, n - 1)[..., ::-1], axis=-1)[..., ::-1]
-    ranks = np.empty(x.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, 0.5 * (start + 1 + end + 1), axis=-1)
-    return ranks
+    keys, midranks = _midranks(_codes(x).reshape(-1, x.shape[-1]))
+    return midranks.ravel()[keys].reshape(x.shape)
 
 
 def _numeric(x) -> np.ndarray:
@@ -81,6 +67,20 @@ def _codes(x: np.ndarray) -> np.ndarray:
     codes = np.empty(x.shape, dtype=np.uint16 if n <= 65536 else np.intp)
     np.put_along_axis(codes, order, np.cumsum(opens, axis=-1), axis=-1)
     return codes
+
+
+def _midranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean rank, starting at 1, of each code of each row of an ``(r, n)`` block.
+
+    Returns ``(keys, midranks)``. ``keys`` are the codes shifted by row * n,
+    so that one ``bincount`` of length r * n counts each row's codes apart.
+    ``midranks[row, code]`` is the count of the row's values below the code
+    plus (count + 1) / 2: a half-integer, exact in float64.
+    """
+    r, n = codes.shape
+    keys = codes + np.arange(0, r * n, n)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=r * n).reshape(r, n)
+    return keys, np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
 
 
 def auroc(scores, labels):
@@ -110,15 +110,11 @@ def auroc(scores, labels):
     in_range = 0 <= codes.min(initial=0) and codes.max(initial=0) < n
     if scores.dtype.kind == "f" or not in_range:
         codes = _codes(codes)
-    # Per code: how many samples carry it and how many of them are positive,
-    # one bincount each over the codes shifted by row * n. A code's midrank
-    # is the count below it plus (count + 1) / 2. Rank sums are sums of
-    # half-integer products <= n^2, exact in any summation order.
-    size = len(codes) * n
-    keys = codes + np.arange(0, size, n)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=size).reshape(-1, n)
-    positives = np.bincount(keys[:, pos].ravel(), minlength=size).reshape(-1, n)
-    midranks = np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
+    # Per code: its midrank and how many of its samples are positive. Rank
+    # sums are sums of half-integer products <= n^2, exact in any summation
+    # order.
+    keys, midranks = _midranks(codes)
+    positives = np.bincount(keys[:, pos].ravel(), minlength=keys.size).reshape(-1, n)
     rank_sums = (positives * midranks).sum(axis=1)
     values = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(values[0]) if scores.ndim == 1 else values

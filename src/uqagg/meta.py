@@ -68,8 +68,6 @@ class FeatureSetSpec:
         if not strategies:
             raise EmptyFeatureSet("feature set needs at least one strategy")
         for s in strategies:
-            if s.startswith("gmm:"):
-                raise InvalidParam("mixture scores cannot feed another mixture")
             parse_strategy(s)
         object.__setattr__(self, "strategies", strategies)
 
@@ -386,8 +384,6 @@ def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
     farther from the reference population.
     """
     x = _match_matrix(features, model.feature_spec)
-    if not np.isfinite(x).all():
-        raise NonFinite("feature matrix contains NaN or infinity")
     z = _apply_preproc(model, x)
     logp = _log_components(z, model.weights, model.means, model.covariances)
     return -_logsumexp_rows(logp)
@@ -405,7 +401,7 @@ def meta_score(model: GmmModel, features) -> float:
 
 
 def _apply_preproc(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    rescaled = (1.0 - 2.0 * model.epsilon) * (x - 0.5) + 0.5
+    rescaled = epsilon_rescale(x, model.epsilon)
     return standardize_apply(rescaled, model.feat_mean, model.feat_std)
 
 

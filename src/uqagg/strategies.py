@@ -12,11 +12,9 @@ Canonical identifier grammar (used in CLI arguments and CSV headers):
     mor                 Moran mass ratio; spatial
     eds[:<tau>]         edge-density mass ratio, tau in (0, 1), default 0.2
     ent[:<bins>]        local-entropy mass ratio, integer bins >= 2, default 4
-    gmm:<model-path>    negative log-likelihood under a stored mixture model
 
 A strategy is one entry of :data:`TABLE`: its kernel, parameter parser,
-domain check, default and mask need. ``gmm`` is the one exception, because
-its mask need comes from the model file. Parameters are spelled minimally
+domain check, default and mask need. Parameters are spelled minimally
 (``plm:20``, ``ata:0.5``); a parameter equal to the default, and the bare
 name, canonicalize to the bare name (``eds:0.2`` -> ``eds``).
 """
@@ -105,9 +103,7 @@ def parse_strategy(token: str) -> Strategy:
     token = token.strip()
     name, sep, arg = token.partition(":")
     if name == "gmm":
-        if not arg:
-            raise InvalidParam("gmm needs a model path, e.g. gmm:model.json")
-        return _gmm_strategy(arg)
+        raise InvalidParam(f"{token!r}: mixture scores come from 'uqagg gmm-score'")
     entry = TABLE.get(name)
     if entry is None:
         raise UnknownStrategy(f"unknown strategy {token!r}")
@@ -127,22 +123,6 @@ def parse_strategy(token: str) -> Strategy:
     value = entry.check(value) + 0
     key = name if value == entry.default else f"{name}:{value!r}"
     return Strategy(key, entry.needs_mask, entry.kernel, (value,))
-
-
-def _gmm_strategy(path: str) -> Strategy:
-    from . import meta  # local import; meta depends on this module's sets
-
-    model = meta.load_model(path)
-    subs = [parse_strategy(s) for s in model.feature_spec.strategies]
-    needs_mask = any(s.requires_mask for s in subs)
-
-    def score(p, *_):  # the pass carries the mask
-        row, skipped = score_map(p, subs)
-        if skipped:
-            raise skipped[0][1]
-        return meta.meta_score(model, row)
-
-    return Strategy(f"gmm:{path}", needs_mask, score)
 
 
 def parse_strategy_list(spec: str | Sequence[str]) -> list[Strategy]:

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -167,30 +169,6 @@ def test_gmm_fit_score_eval_rank(bench_dir, scores_csv, tmp_path):
     assert len(pvals) == 12 and len(pvals[0]) == 12
 
 
-def test_gmm_strategy_agrees_with_gmm_score(bench_dir, scores_csv, tmp_path):
-    # aggregate scores one row at a time and gmm-score all rows at once; the
-    # whitening matmul rounds differently for one row than for n, so the two
-    # columns agree to rounding, not to the byte.
-    model = tmp_path / "model.json"
-    res = run_cli(
-        "gmm-fit", "--features", str(scores_csv), "--variant", "custom",
-        "--strategies", "avg,plm:10,bca,qfr,mor,eds,ent", "--k-max", "3",
-        "--out", str(model),
-    )
-    assert res.returncode == 0, res.stderr
-    scored, aggregated = tmp_path / "scored.csv", tmp_path / "aggregated.csv"
-    res = run_cli("gmm-score", "--model", str(model), "--features",
-                  str(scores_csv), "--out", str(scored))
-    assert res.returncode == 0, res.stderr
-    res = run_cli("aggregate", "--manifest", str(bench_dir / "manifest.csv"),
-                  "--strategies", f"gmm:{model}", "--out", str(aggregated))
-    assert res.returncode == 0, res.stderr
-    ids_s, _, batch = read_scores(scored)
-    ids_a, _, rowwise = read_scores(aggregated)
-    assert ids_s == ids_a
-    np.testing.assert_allclose(rowwise[:, 0], batch[:, -1], rtol=1e-12, atol=0)
-
-
 def test_rank_rejects_inputs_sharing_a_dataset_name(tmp_path):
     paths = []
     for sub in ("a", "b"):
@@ -219,6 +197,23 @@ def test_eval_deterministic(bench_dir, scores_csv, tmp_path):
     assert (tmp_path / "x.samples.csv").read_bytes() == (
         tmp_path / "y.samples.csv"
     ).read_bytes()
+
+
+def test_strategies_help_examples_parse():
+    from uqagg.cli import _build_parser
+    from uqagg.strategies import parse_strategy_list
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    examples = [
+        example
+        for command in sub.choices.values()
+        for action in command._actions if "--strategies" in action.option_strings
+        for example in re.findall(r"e\.g\. ([^\s)]+)", action.help)
+    ]
+    assert examples
+    for example in examples:
+        parse_strategy_list(example)
 
 
 def test_exit_code_usage():
@@ -500,6 +495,59 @@ def test_missing_feature_column_exits_4_and_names_it(tmp_path):
     assert not (tmp_path / "scored.csv").exists()
 
 
+@pytest.mark.parametrize("edit, words", [
+    ({"cell": 1.5}, "features must lie in [0, 1] before rescaling"),
+    ({"epsilon": 0.7}, "epsilon must lie in (0, 0.5), got 0.7"),
+    ({"epsilon": -3.0}, "epsilon must lie in (0, 0.5), got -3.0"),
+], ids=["cell-1.5", "epsilon-0.7", "epsilon--3"])
+def test_gmm_score_refuses_what_gmm_fit_refuses(tmp_path, edit, words):
+    ids, values = _table_with_gaps(tmp_path, gaps=())
+    model = tmp_path / "model.json"
+    res = run_cli(
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+        "custom", "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
+    )
+    assert res.returncode == 0, res.stderr
+    if "cell" in edit:
+        values[3, 1] = edit["cell"]
+        write_scores(tmp_path / "scores.csv", ids, ["avg", "mor"], values)
+    else:
+        doc = json.loads(model.read_text())
+        doc["epsilon"] = edit["epsilon"]
+        model.write_text(json.dumps(doc))
+    res = run_cli(
+        "gmm-score", "--model", str(model), "--features",
+        str(tmp_path / "scores.csv"), "--out", str(tmp_path / "scored.csv"),
+    )
+    assert res.returncode == 4
+    assert res.stderr == f"error: {words}\n"
+    assert not (tmp_path / "scored.csv").exists()
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["rank", "--alpha", "7"], "--alpha must lie in (0, 1), got 7.0"),
+    (["rank", "--alpha", "1"], "--alpha must lie in (0, 1), got 1.0"),
+    (["rank", "--alpha", "0"], "--alpha must lie in (0, 1), got 0.0"),
+    (["rank", "--alpha", "nan"], "--alpha must lie in (0, 1), got nan"),
+    (["aggregate", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["aggregate", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
+], ids=["alpha-7", "alpha-1", "alpha-0", "alpha-nan", "jobs-0", "jobs--3"])
+def test_out_of_domain_number_is_refused(tmp_path, argv, words):
+    _table_with_gaps(tmp_path, gaps=())
+    (tmp_path / "ds.samples.csv").write_text("avg,mor\n0.5,0.75\n0.25,0.5\n")
+    inputs = {
+        "rank": ["--inputs", str(tmp_path / "ds.samples.csv"), "--metric", "auroc",
+                 "--out-prefix", str(tmp_path / "out")],
+        "aggregate": ["--manifest", str(tmp_path / "m.csv"), "--strategies", "avg",
+                      "--out", str(tmp_path / "out.csv")],
+    }[argv[0]]
+    before = sorted(tmp_path.iterdir())
+    res = run_cli(*argv, *inputs)
+    assert res.returncode == 4
+    assert res.stderr == f"error: {words}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_eval_rejects_a_repeated_score_column(tmp_path):
     _table_with_gaps(tmp_path, gaps=())
     rows = _read_rows(tmp_path / "scores.csv")
@@ -642,9 +690,10 @@ _MALFORMED = {
     "model-not-ascii-gmm-score": (
         ["gmm-score", "--model", "{d}/model.json", "--features", "{d}/scores.csv",
          "--out", "{d}/out.csv"], "{d}/model.json: 'ascii' codec can't decode"),
-    "model-not-ascii-aggregate": (
+    "gmm-token-aggregate": (
         ["aggregate", "--manifest", "{d}/m.csv", "--strategies", "avg,gmm:{d}/model.json",
-         "--out", "{d}/out.csv"], "{d}/model.json: 'ascii' codec can't decode"),
+         "--out", "{d}/out.csv"],
+        "'gmm:{d}/model.json': mixture scores come from 'uqagg gmm-score'"),
     "manifest-repeats-map-path": (
         ["aggregate", "--manifest", "{d}/twice.csv", "--strategies", "avg",
          "--out", "{d}/out.csv"], "{d}/twice.csv: column 'map_path' appears twice"),

@@ -28,6 +28,6 @@ def test_strategy_docs_list_exactly_the_table_names():
 
     text = README.read_text(encoding="utf-8")
     section = text.split("## Aggregation strategies", 1)[1].split("\n## ", 1)[0]
-    names = set(strategies.TABLE) | {"gmm"}
+    names = set(strategies.TABLE)
     assert _names(section.splitlines(), r"\| `([a-z]+)[:`]") == names
     assert _names(strategies.__doc__.splitlines(), r"    ([a-z]+)[\[: ]") == names

@@ -3,14 +3,11 @@ import pytest
 
 from uqagg import (
     FULL_SET,
-    FeatureSetSpec,
     INTENSITY_SET,
     SPATIAL_SET,
     compute_features,
-    fit_meta,
     parse_strategy,
     parse_strategy_list,
-    save_model,
     validate_map,
 )
 from uqagg import aqa, ata, avg, bca, eds, ent, mor, plm, qfr
@@ -147,41 +144,6 @@ def test_compute_features_mask_policy():
     assert fm.values.shape == (1, 2)
     with pytest.raises(InvalidParam):
         compute_features(maps, strategies, masks * 2)
-
-
-def test_gmm_strategy_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    maps = [np.clip(rng.normal(0.5, 0.1, (16, 16)), 0, 1) for _ in range(30)]
-    strategies = parse_strategy_list("avg,mor,ent")
-    fm = compute_features(maps, strategies)
-    model = fit_meta(fm, FeatureSetSpec.custom(["avg", "mor", "ent"]), k_max=2, seed=0)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    strat = parse_strategy(f"gmm:{path}")
-    assert strat.key == f"gmm:{path}"
-    assert not strat.requires_mask
-    from uqagg import meta_score
-
-    u = validate_map(maps[0])
-    want = meta_score(model, fm.row(0))
-    assert strat(u) == pytest.approx(want, rel=1e-12)
-
-
-def test_gmm_strategy_propagates_mask_need(tmp_path):
-    rng = np.random.default_rng(6)
-    maps = [np.clip(rng.normal(0.5, 0.1, (16, 16)), 0, 1) for _ in range(20)]
-    masks = [SegmentationMask(np.ones((16, 16), dtype=int)) for _ in range(20)]
-    strategies = parse_strategy_list("avg,ica")
-    fm = compute_features(maps, strategies, masks)
-    model = fit_meta(fm, FeatureSetSpec.custom(["avg", "ica"]), k_max=2, seed=0)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    strat = parse_strategy(f"gmm:{path}")
-    assert strat.requires_mask
-    with pytest.raises(MaskRequired):
-        strat(validate_map(maps[0]))
-    val = strat(validate_map(maps[0]), masks[0])
-    assert np.isfinite(val)
 
 
 # ---------------------------------------------------------------------------
