@@ -7,16 +7,19 @@ paired significance across datasets), synth (generate benchmark data).
 Every failure is one ``error:`` line on stderr. The exit code is 2 for a
 usage error (argparse), the ``exit_code`` of the error's class for a
 :class:`~uqagg.errors.UqaggError` (3 for a missing file, 4 for malformed or
-invalid data) and 3 for any other file that cannot be read or written.
+invalid data) and 3 for any other operating-system failure: a file that
+cannot be read or written, or an ``aggregate`` worker process that died.
+Every warning is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .errors import (
     MaskRequired,
     MissingColumn,
     MissingFile,
+    OutOfRange,
     UqaggError,
 )
 from .evaluation import DEFAULT_BOOTSTRAP
@@ -66,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output score table CSV")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="worker processes (fork); output is identical for any value")
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser(
@@ -177,6 +181,11 @@ def _load(manifest: io.Manifest, row: io.ManifestRow, rel: str, make):
 def _cmd_aggregate(args) -> int:
     if args.jobs < 1:
         raise InvalidParam(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise InvalidParam(
+            f"--jobs {args.jobs} needs the 'fork' start method, which this "
+            "platform lacks; use --jobs 1"
+        )
     strategies = parse_strategy_list(args.strategies)
     manifest = io.read_manifest(args.manifest)
     if not manifest.rows:
@@ -190,38 +199,109 @@ def _cmd_aggregate(args) -> int:
                     "but the manifest has no mask_path for it"
                 )
 
-    def score_row(row: io.ManifestRow):
-        u = _load(manifest, row, row.map_path, validate_map)
-        mask = (None if row.mask_path is None
-                else _load(manifest, row, row.mask_path, SegmentationMask))
-        try:
-            return score_map(MapPass(u, mask), strategies)
-        except UqaggError as exc:
-            raise type(exc)(f"sample {row.sample_id!r}, {exc}") from None
+    def score_slice(rows: list) -> tuple[np.ndarray, list[str]]:
+        """The score block of consecutive manifest rows and their notes."""
+        block = np.empty((len(rows), len(strategies)))
+        notes = []
+        for i, row in enumerate(rows):
+            u = _load(manifest, row, row.map_path, validate_map)
+            mask = (None if row.mask_path is None
+                    else _load(manifest, row, row.mask_path, SegmentationMask))
+            try:
+                block[i], row_notes = score_map(MapPass(u, mask), strategies)
+            except UqaggError as exc:
+                raise type(exc)(f"sample {row.sample_id!r}, {exc}") from None
+            notes += [f"sample {row.sample_id!r}, {note}" for _, note in row_notes]
+        return block, notes
 
-    if args.jobs == 1:
-        results = [score_row(row) for row in manifest.rows]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(score_row, manifest.rows))
-
-    for row, (_, skipped) in zip(manifest.rows, results):
-        for _, exc in skipped:
-            print(f"warning: sample {row.sample_id!r}, {exc}", file=sys.stderr)
-    warning_count = sum(len(skipped) for _, skipped in results)
-    matrix = np.vstack([values for values, _ in results])
+    blocks = _in_slices(score_slice, manifest.rows, args.jobs)
+    notes = [note for _, slice_notes in blocks for note in slice_notes]
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     io.write_scores(
         args.out,
         [row.sample_id for row in manifest.rows],
         [s.key for s in strategies],
-        matrix,
+        np.vstack([block for block, _ in blocks]),
     )
     print(
         f"aggregated {len(manifest.rows)} samples x {len(strategies)} strategies, "
-        f"{warning_count} warnings",
+        f"{len(notes)} warnings",
         file=sys.stderr,
     )
     return 0
+
+
+def _in_slices(work, items: list, jobs: int) -> list:
+    """``work`` of each of ``min(jobs, len(items))`` contiguous slices of
+    ``items`` of near-equal length, in order.
+
+    This process works the first slice and one forked child works each other
+    slice. A child prints nothing: it sends back its result or the first
+    error it meets, and the warnings its work showed. The errors are raised
+    in slice order, so the one raised is the first that one pass over
+    ``items`` would meet. No child outlives the call: each is joined, and on
+    any failure terminated first.
+    """
+    n = min(jobs, len(items))
+    if n == 1:
+        return [work(items)]
+    bounds = [len(items) * i // n for i in range(n + 1)]
+    slices = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    # fork, not spawn: a spawned child imports numpy and uqagg again, which
+    # takes longer than scoring a hundred 64x64 maps. A forked child calls no
+    # BLAS routine, so no thread pool numpy inherited from this process runs.
+    ctx = multiprocessing.get_context("fork")
+    # A child flushes its copy of these buffers when it exits.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for part in slices[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_work_in_child, args=(work, part, send))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        results = [work(slices[0])]
+        for child, recv in children:
+            try:
+                ok, payload, shown = recv.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"a worker process exited with code {child.exitcode} "
+                    "before it sent its scores"
+                ) from None
+            for message in shown:
+                warnings.showwarning(*message)
+            if not ok:
+                raise payload
+            results.append(payload)
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.join()
+
+
+def _work_in_child(work, items: list, conn) -> None:
+    """Body of a worker process of :func:`_in_slices`: sends
+    ``(ok, result or error, warnings shown)`` and writes to no stream."""
+    with warnings.catch_warnings(record=True) as shown:
+        try:
+            reply = (True, work(items))
+        except BaseException as exc:  # every error travels back as data
+            reply = (False, exc)
+    try:
+        conn.send((*reply, [(w.message, w.category, w.filename, w.lineno)
+                            for w in shown]))
+    except Exception:  # unpicklable: the parent reports the exit code
+        os._exit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +338,28 @@ def _complete_rows(ids, names, matrix, wanted, note) -> tuple[np.ndarray, np.nda
     return sub, keep
 
 
+def _mixture_features(ids, names, matrix, wanted, note
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_complete_rows` for a mixture's features.
+
+    A complete row with a cell outside [0, 1], which ``meta.epsilon_rescale``
+    refuses, fails here first with the first such cell's sample and column.
+    """
+    x, keep = _complete_rows(ids, names, matrix, wanted, note)
+    outside = keep[:, None] & ((x < 0.0) | (x > 1.0))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise OutOfRange(
+            f"sample {ids[i]!r}, column {wanted[j]!r}: feature {float(x[i, j])!r} "
+            "must lie in [0, 1] before rescaling"
+        )
+    return x, keep
+
+
 def _cmd_gmm_fit(args) -> int:
     spec = _spec_from_args(args)
     ids, names, matrix = io.read_scores(args.features)
-    x, keep = _complete_rows(ids, names, matrix, spec.strategies, "skipping it")
+    x, keep = _mixture_features(ids, names, matrix, spec.strategies, "skipping it")
     if not keep.any():
         raise EmptyInput("no complete feature rows to fit on")
     model = meta.fit_meta(
@@ -290,7 +388,7 @@ def _cmd_gmm_score(args) -> int:
     column = f"gmm:{model.feature_spec.variant}"
     if column in names:
         raise DuplicateColumn(f"score table already has a {column!r} column")
-    x, keep = _complete_rows(
+    x, keep = _mixture_features(
         ids, names, matrix, model.feature_spec.strategies, "leaving its NLL empty"
     )
     nll = np.full(len(ids), math.nan)
@@ -508,17 +606,23 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UqaggError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:  # a file that cannot be opened, read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return MissingFile.exit_code
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one line, no source location
+        try:
+            return args.func(args)
+        except UqaggError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:  # a file that cannot be read or written, a dead worker
+            print(f"error: {exc}", file=sys.stderr)
+            return MissingFile.exit_code
 
 
 def entrypoint() -> None:

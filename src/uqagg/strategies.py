@@ -22,6 +22,7 @@ name, canonicalize to the bare name (``eds:0.2`` -> ``eds``).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -144,25 +145,35 @@ def parse_strategy_list(spec: str | Sequence[str]) -> list[Strategy]:
 
 
 def score_map(p: MapPass, strategies: Sequence[Strategy]
-              ) -> tuple[np.ndarray, list[tuple[str, NoForeground]]]:
+              ) -> tuple[np.ndarray, list[tuple[str, Exception]]]:
     """Score one map pass with every strategy, in order.
 
-    Every error from a strategy is re-made as the same type with its message
-    prefixed by ``strategy '<key>': ``. A NoForeground leaves the strategy's
-    cell NaN and is returned with its key; any other UqaggError is raised.
+    Returns the row of scores and its notes, ``(key, note)`` pairs in
+    strategy order. Every note and every error from a strategy is re-made as
+    the same type with its message prefixed by ``strategy '<key>': ``. A
+    NoForeground leaves the strategy's cell NaN and is a note; so is each
+    warning the strategy raises (e.g. a RuntimeWarning for the mass ratio of
+    an all-zero map), which is recorded, not shown. Any other UqaggError is
+    raised. The recording swaps the process-wide warning state, so two
+    threads must not call this at once.
     """
     row = np.empty(len(strategies))
-    skipped = []
-    for j, strat in enumerate(strategies):
-        try:
-            row[j] = strat(p)
-        except UqaggError as exc:
-            named = type(exc)(f"strategy {strat.key!r}: {exc}")
-            if not isinstance(exc, NoForeground):
-                raise named from exc
-            row[j] = math.nan
-            skipped.append((strat.key, named))
-    return row, skipped
+    notes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for j, strat in enumerate(strategies):
+            seen = len(caught)
+            try:
+                row[j] = strat(p)
+            except UqaggError as exc:
+                named = type(exc)(f"strategy {strat.key!r}: {exc}")
+                if not isinstance(exc, NoForeground):
+                    raise named from exc
+                row[j] = math.nan
+                notes.append((strat.key, named))
+            notes += [(strat.key, w.category(f"strategy {strat.key!r}: {w.message}"))
+                      for w in caught[seen:]]
+    return row, notes
 
 
 def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> FeatureMatrix:
@@ -171,8 +182,9 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
     Each map is scored through one MapPass, so its strategies share the
     intermediates they have in common. ``masks`` must be given (one per map)
     when any strategy needs one.
-    Per-sample errors (e.g. NoForeground) propagate, named by strategy;
-    callers that want to tolerate NoForeground should call :func:`score_map`.
+    Per-sample errors (e.g. NoForeground) propagate and warnings are issued
+    again, each named by strategy; callers that want to tolerate NoForeground
+    should call :func:`score_map`.
     """
     strategies = list(strategies)
     maps = [validate_map(u) for u in maps]
@@ -185,7 +197,11 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
         raise InvalidParam(f"{len(maps)} maps but {len(masks)} masks")
     rows = np.empty((len(maps), len(strategies)), dtype=np.float64)
     for i, (u, m) in enumerate(zip(maps, masks)):
-        rows[i], skipped = score_map(MapPass(u, m), strategies)
-        if skipped:
-            raise skipped[0][1]
+        rows[i], notes = score_map(MapPass(u, m), strategies)
+        for _, note in notes:
+            if isinstance(note, Warning):
+                warnings.warn(note, stacklevel=2)
+        for _, note in notes:
+            if isinstance(note, UqaggError):
+                raise note
     return FeatureMatrix(tuple(s.key for s in strategies), rows)

@@ -1,9 +1,12 @@
 import argparse
 import csv
 import json
+import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -496,10 +499,13 @@ def test_missing_feature_column_exits_4_and_names_it(tmp_path):
 
 
 @pytest.mark.parametrize("edit, words", [
-    ({"cell": 1.5}, "features must lie in [0, 1] before rescaling"),
+    ({"cell": 1.5},
+     "sample 's003', column 'mor': feature 1.5 must lie in [0, 1] before rescaling"),
+    ({"cell": -0.25},
+     "sample 's003', column 'mor': feature -0.25 must lie in [0, 1] before rescaling"),
     ({"epsilon": 0.7}, "epsilon must lie in (0, 0.5), got 0.7"),
     ({"epsilon": -3.0}, "epsilon must lie in (0, 0.5), got -3.0"),
-], ids=["cell-1.5", "epsilon-0.7", "epsilon--3"])
+], ids=["cell-1.5", "cell--0.25", "epsilon-0.7", "epsilon--3"])
 def test_gmm_score_refuses_what_gmm_fit_refuses(tmp_path, edit, words):
     ids, values = _table_with_gaps(tmp_path, gaps=())
     model = tmp_path / "model.json"
@@ -511,6 +517,11 @@ def test_gmm_score_refuses_what_gmm_fit_refuses(tmp_path, edit, words):
     if "cell" in edit:
         values[3, 1] = edit["cell"]
         write_scores(tmp_path / "scores.csv", ids, ["avg", "mor"], values)
+        res = run_cli(
+            "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
+            "custom", "--strategies", "avg,mor", "--out", str(tmp_path / "m2.json"),
+        )
+        assert (res.returncode, res.stderr) == (4, f"error: {words}\n")
     else:
         doc = json.loads(model.read_text())
         doc["epsilon"] = edit["epsilon"]
@@ -579,7 +590,9 @@ def test_rank_warns_once_for_all_tied_pairs(tmp_path):
         "--out-prefix", str(tmp_path / "rk"),
     )
     assert res.returncode == 0, res.stderr
-    warned = [line for line in res.stderr.splitlines() if "RuntimeWarning" in line]
+    # one warning: line with no source location
+    assert res.stderr == "".join(line + "\n" for line in _warnings(res.stderr))
+    warned = _warnings(res.stderr)
     assert len(warned) == 1
     # a, b and c tie in 6 ordered pairs; d differs from each of them
     assert "6 ordered pairs" in warned[0] and "'a' vs 'b'" in warned[0]
@@ -759,3 +772,150 @@ def test_exit_code_policy_is_carried_by_the_error_classes():
     assert {cls.__name__: cls.exit_code for cls in classes} == {
         cls.__name__: 3 if cls is uqagg.MissingFile else 4 for cls in classes
     }
+
+
+# ---------------------------------------------------------------------------
+# aggregate --jobs: forked worker processes
+
+
+def _aggregate_in_process(capsys, manifest, strategies, out, jobs):
+    """(exit code, stderr, table bytes or None) of one in-process aggregate
+    call; no worker process may outlive it."""
+    from uqagg import cli
+
+    code = cli.main([
+        "aggregate", "--manifest", str(manifest), "--strategies", strategies,
+        "--out", str(out), "--jobs", str(jobs),
+    ])
+    assert multiprocessing.active_children() == []
+    table = out.read_bytes() if out.exists() else None
+    return code, capsys.readouterr().err, table
+
+
+def _map_manifest(tmp_path, n, zero=(), background=()):
+    """n 8x8 maps with masks: all-zero maps at ``zero``, masks with no
+    foreground at ``background``."""
+    rows = []
+    for i in range(n):
+        u = np.zeros((8, 8)) if i in zero else np.full((8, 8), 0.05 * (i + 1))
+        u[i % 8, :] *= 0.5
+        mask = np.zeros((8, 8), dtype=np.int64)
+        if i not in background:
+            mask[2:5, 3:7] = 1
+        write_npy(tmp_path / f"u{i}.npy", u)
+        write_npy(tmp_path / f"k{i}.npy", mask)
+        rows.append(ManifestRow(f"s{i}", f"u{i}.npy", f"k{i}.npy", None, None))
+    write_manifest(tmp_path / "m.csv", rows)
+    return tmp_path / "m.csv"
+
+
+def test_aggregate_more_jobs_than_rows_gives_the_bytes_of_one_job(tmp_path, capsys):
+    manifest = _map_manifest(tmp_path, 3)
+    one = _aggregate_in_process(capsys, manifest, "avg,plm:2,bca,mor,ent",
+                                tmp_path / "s1.csv", 1)
+    eight = _aggregate_in_process(capsys, manifest, "avg,plm:2,bca,mor,ent",
+                                  tmp_path / "s8.csv", 8)
+    assert one[0] == 0 and one[2] is not None
+    assert eight == one
+
+
+@pytest.mark.parametrize("fault, row, code", [
+    ("out-of-range", 8, 4),   # last of the slices 0-2, 3-5, 6-8
+    ("missing", 4, 3),        # middle slice, removed after the manifest check
+    ("out-of-range", 1, 4),   # the slice this process works
+], ids=["out-of-range-last", "missing-middle", "out-of-range-first"])
+def test_aggregate_jobs_fail_like_one_job(tmp_path, capsys, monkeypatch,
+                                          fault, row, code):
+    from uqagg import io as uqagg_io
+
+    manifest = _map_manifest(tmp_path, 9)
+    if fault == "out-of-range":
+        write_npy(tmp_path / f"u{row}.npy", np.full((8, 8), 1.5))
+        if row + 3 < 9:   # a later slice fails too; its error must not show
+            write_npy(tmp_path / f"u{row + 3}.npy", np.full((8, 8), -1.0))
+    else:
+        read_manifest_checked = uqagg_io.read_manifest
+
+        def read_then_remove(path, **kw):
+            m = read_manifest_checked(path, **kw)
+            (tmp_path / f"u{row}.npy").unlink(missing_ok=True)
+            return m
+
+        monkeypatch.setattr(uqagg_io, "read_manifest", read_then_remove)
+    runs = []
+    for jobs in (1, 3):
+        if fault == "missing":
+            write_npy(tmp_path / f"u{row}.npy", np.full((8, 8), 0.5))
+        runs.append(_aggregate_in_process(capsys, manifest, "avg,mor",
+                                          tmp_path / f"s{jobs}.csv", jobs))
+    assert runs[0] == runs[1]
+    exit_code, stderr, table = runs[0]
+    assert (exit_code, table) == (code, None)
+    assert stderr.startswith(f"error: sample 's{row}' (") and stderr.count("\n") == 1
+
+
+def test_aggregate_jobs_report_notes_like_one_job(tmp_path, capsys):
+    manifest = _map_manifest(tmp_path, 9, zero=(0, 4, 8), background=(2, 5))
+    one = _aggregate_in_process(capsys, manifest, "avg,qfr,mor,eds",
+                                tmp_path / "s1.csv", 1)
+    three = _aggregate_in_process(capsys, manifest, "avg,qfr,mor,eds",
+                                  tmp_path / "s3.csv", 3)
+    assert three == one
+    code, stderr, _ = one
+    warned = _warnings(stderr)
+    assert code == 0 and len(warned) == 3 * 2 + 2
+    assert warned[0] == ("warning: sample 's0', strategy 'mor': "
+                         "spatial mass ratio of an all-zero map is defined as 0.0")
+    assert warned[2] == ("warning: sample 's2', strategy 'qfr': "
+                         "mask contains only background pixels")
+    assert stderr.endswith("aggregated 9 samples x 4 strategies, 8 warnings\n")
+    assert stderr.count("\n") == len(warned) + 1
+
+
+def test_aggregate_workers_send_other_warnings_back(tmp_path, capsys, monkeypatch):
+    from uqagg import cli
+
+    check = cli.validate_map
+
+    def validate_and_warn(u):
+        warnings.warn(f"map of mean {u.mean():.2f} read", UserWarning)
+        return check(u)
+
+    monkeypatch.setattr(cli, "validate_map", validate_and_warn)
+    manifest = _map_manifest(tmp_path, 6, zero=(4,))
+    one = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s1.csv", 1)
+    three = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s3.csv", 3)
+    assert three == one
+    warned = _warnings(one[1])
+    assert len(warned) == 7 and warned[0] == "warning: map of mean 0.05 read"
+    assert warned[6].startswith("warning: sample 's4', strategy 'mor': ")
+
+
+def test_aggregate_reports_a_worker_that_dies(tmp_path, capsys, monkeypatch):
+    from uqagg import cli
+
+    parent = os.getpid()
+    score = cli.score_map
+
+    def die_in_child(p, strategies):
+        if os.getpid() != parent:
+            os._exit(9)
+        return score(p, strategies)
+
+    monkeypatch.setattr(cli, "score_map", die_in_child)
+    manifest = _map_manifest(tmp_path, 4)
+    code, stderr, table = _aggregate_in_process(capsys, manifest, "avg",
+                                                tmp_path / "s.csv", 2)
+    assert (code, table) == (3, None)
+    assert stderr == ("error: a worker process exited with code 9 "
+                      "before it sent its scores\n")
+
+
+def test_aggregate_jobs_need_fork(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    manifest = _map_manifest(tmp_path, 2)
+    code, stderr, table = _aggregate_in_process(capsys, manifest, "avg",
+                                                tmp_path / "s.csv", 2)
+    assert (code, table) == (4, None)
+    assert stderr == ("error: --jobs 2 needs the 'fork' start method, which "
+                      "this platform lacks; use --jobs 1\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,24 @@ def test_score_map_skips_no_foreground_and_names_other_errors():
     assert str(skipped[0][1]).startswith("strategy 'qfr': ")
     with pytest.raises(PatchTooLarge, match="^strategy 'plm:20': patch 20 exceeds"):
         score_map(MapPass(u), parse_strategy_list("avg,plm:20"))
+
+
+def test_score_map_records_strategy_warnings_as_notes():
+    zero = validate_map(np.zeros((8, 8)))
+    background = SegmentationMask(np.zeros((8, 8), dtype=int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning that escaped would raise
+        row, notes = score_map(MapPass(zero, background),
+                               parse_strategy_list("avg,qfr,mor,eds"))
+    assert row[0] == 0.0 and np.isnan(row[1]) and (row[2:] == 0.0).all()
+    assert [key for key, _ in notes] == ["qfr", "mor", "eds"]
+    assert isinstance(notes[0][1], NoForeground)
+    assert all(type(note) is RuntimeWarning for _, note in notes[1:])
+    assert str(notes[2][1]) == ("strategy 'eds': spatial mass ratio of an "
+                                "all-zero map is defined as 0.0")
+
+
+def test_compute_features_issues_strategy_warnings_again():
+    with pytest.warns(RuntimeWarning, match="^strategy 'mor': spatial mass ratio"):
+        feats = compute_features([np.zeros((8, 8))], parse_strategy_list("avg,mor"))
+    assert (feats.values == 0.0).all()
