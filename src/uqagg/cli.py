@@ -38,15 +38,7 @@ from .errors import (
     UqaggError,
 )
 from .evaluation import DEFAULT_BOOTSTRAP
-from .meta import (
-    DEFAULT_EPSILON,
-    DEFAULT_K_MAX,
-    DEFAULT_MAX_ITER,
-    DEFAULT_RESTARTS,
-    DEFAULT_RIDGE,
-    DEFAULT_TOL,
-    FeatureSetSpec,
-)
+from .meta import DEFAULT_K_MAX, DEFAULT_MAX_ITER, DEFAULT_TOL, FeatureSetSpec
 from .strategies import parse_strategy_list, score_map
 
 
@@ -87,16 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
                    help="largest component count tried by BIC selection")
     p.add_argument("--seed", type=int, default=0, help="fit seed")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                   help="edge-shrink rescale amount")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                   help="EM restarts per component count")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="EM iteration cap")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="EM relative log-likelihood convergence tolerance")
-    p.add_argument("--ridge", type=float, default=DEFAULT_RIDGE,
-                   help="diagonal loading added to every covariance")
     p.add_argument("--out", required=True, help="output model JSON")
     p.set_defaults(func=_cmd_gmm_fit)
 
@@ -147,17 +133,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--spec", default=None,
-                   help="benchmark spec JSON; omit for the matched-mean "
-                   "blob-vs-noise preset")
-    p.add_argument("--n-iid", type=int, default=_SPEC_KEYS["n_iid"][1],
-                   help="in-distribution sample count (preset only)")
-    p.add_argument("--n-ood", type=int, default=_SPEC_KEYS["n_ood"][1],
-                   help="perturbed sample count (preset only)")
-    p.add_argument("--size", type=int, nargs=2, default=_SPEC_KEYS["size"][1],
-                   metavar=("ROWS", "COLS"), help="map size (preset only)")
-    p.add_argument("--seed", type=int, default=_SPEC_KEYS["seed"][1],
-                   help="generation seed")
-    p.add_argument("--with-masks", action="store_true",
+                   help="benchmark spec JSON, which sets every value itself "
+                   "(the preset-only options are refused with it); omit for the "
+                   "matched-mean blob-vs-noise preset")
+    # The preset-only options default to absent, so one given with --spec is
+    # seen and refused; _preset fills in the defaults of _SPEC_KEYS.
+    absent = argparse.SUPPRESS
+    p.add_argument("--n-iid", type=int, default=absent,
+                   help="in-distribution sample count (preset only; default "
+                   f"{_SPEC_KEYS['n_iid'][1]})")
+    p.add_argument("--n-ood", type=int, default=absent,
+                   help=f"perturbed sample count (preset only; default "
+                   f"{_SPEC_KEYS['n_ood'][1]})")
+    p.add_argument("--size", type=int, nargs=2, default=absent,
+                   metavar=("ROWS", "COLS"), help="map size (preset only; default "
+                   f"{' '.join(map(str, _SPEC_KEYS['size'][1]))})")
+    p.add_argument("--seed", type=int, default=absent,
+                   help=f"generation seed (preset only; default "
+                   f"{_SPEC_KEYS['seed'][1]})")
+    p.add_argument("--with-masks", action="store_true", default=absent,
                    help="also write pattern-geometry masks (preset only)")
     p.set_defaults(func=_cmd_synth)
 
@@ -313,8 +307,7 @@ def _spec_from_args(args) -> FeatureSetSpec:
         return FeatureSetSpec(args.variant, meta.VARIANTS[args.variant])
     if not args.strategies:
         raise InvalidParam("--variant custom needs --strategies")
-    keys = [s.key for s in parse_strategy_list(args.strategies)]
-    return FeatureSetSpec.custom(keys)
+    return FeatureSetSpec.custom(args.strategies)
 
 
 def _complete_rows(ids, names, matrix, wanted, note) -> tuple[np.ndarray, np.ndarray]:
@@ -362,17 +355,8 @@ def _cmd_gmm_fit(args) -> int:
     x, keep = _mixture_features(ids, names, matrix, spec.strategies, "skipping it")
     if not keep.any():
         raise EmptyInput("no complete feature rows to fit on")
-    model = meta.fit_meta(
-        x[keep],
-        spec,
-        k_max=args.k_max,
-        seed=args.seed,
-        epsilon=args.epsilon,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        ridge=args.ridge,
-    )
+    model = meta.fit_meta(x[keep], spec, k_max=args.k_max, seed=args.seed,
+                          max_iter=args.max_iter, tol=args.tol)
     meta.save_model(model, args.out)
     print(
         f"fitted {spec.variant} ({len(spec.strategies)} features) on "
@@ -543,17 +527,21 @@ def _spec_document(doc, keys: dict, where: str) -> dict:
     return out
 
 
+# The spec keys that synth's preset-only options set: --n-iid sets n_iid.
+_PRESET_KEYS = ("n_iid", "n_ood", "size", "seed", "with_masks")
+
+
 def _preset(args) -> dict:
     """Matched-mean blob-vs-noise benchmark, geometry scaled to the map size."""
-    radius = 0.1875 * min(args.size)
+    doc = {key: vars(args).get(key, _SPEC_KEYS[key][1]) for key in _PRESET_KEYS}
+    radius = 0.1875 * min(doc["size"])
     return {
         "iid": {"pattern": "noise",
                 "params": {"mean": 0.3, "amp": 0.12, "mean_jitter": 0.02}},
         "ood": {"pattern": "blob",
                 "params": {"inside": 0.85, "inside_jitter": 0.05, "radius": radius,
                            "radius_jitter": radius / 6.0, "outside": 0.25}},
-        "match_means": True, "n_iid": args.n_iid, "n_ood": args.n_ood,
-        "size": list(args.size), "seed": args.seed, "with_masks": args.with_masks,
+        "match_means": True, **doc,
     }
 
 
@@ -573,6 +561,12 @@ def _benchmark_from_spec(doc: dict) -> list[synth.Benchmark]:
 
 def _cmd_synth(args) -> int:
     if args.spec is not None:
+        given = ["--" + key.replace("_", "-") for key in _PRESET_KEYS if key in vars(args)]
+        if given:
+            raise InvalidParam(
+                f"--spec sets every benchmark value from its file; drop "
+                f"{', '.join(given)}, which only the preset takes"
+            )
         doc = _spec_document(io.read_json(args.spec), _SPEC_KEYS, f"{args.spec}: spec")
     else:
         doc = _spec_document(_preset(args), _SPEC_KEYS, "preset spec")

@@ -1,8 +1,8 @@
 """Core grid types and the entropy reduction of probability stacks.
 
 An uncertainty map is a rectangular grid of per-pixel uncertainty values in
-[0, 1]. A segmentation mask is an integer grid of class labels with one label
-reserved for background. A probability stack holds L sampled softmax outputs
+[0, 1]. A segmentation mask is an integer grid of class labels; label 0 is
+the background. A probability stack holds L sampled softmax outputs
 over K classes and reduces to an uncertainty map by averaging the samples and
 taking normalized Shannon entropy. A map pass scores one map with several
 strategies and builds what they share once.
@@ -11,13 +11,11 @@ strategies and builds what they share once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     EmptyGrid,
-    FeatureMismatch,
     InvalidParam,
     InvalidStack,
     NonFinite,
@@ -77,13 +75,10 @@ def validate_map(raw) -> UncertaintyMap:
 
 @dataclass(frozen=True, eq=False)
 class SegmentationMask:
-    """Immutable 2-D grid of non-negative integer class labels.
-
-    ``background_label`` marks the class excluded from foreground statistics.
-    """
+    """Immutable 2-D grid of non-negative integer class labels; 0 is the
+    background, excluded from foreground statistics."""
 
     labels: np.ndarray
-    background_label: int = 0
 
     def __post_init__(self):
         raw = np.asarray(self.labels)
@@ -103,15 +98,11 @@ class SegmentationMask:
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
-    def foreground(self) -> np.ndarray:
-        """Boolean grid marking non-background pixels."""
-        return self.labels != self.background_label
 
-
-def as_mask(raw, background_label: int = 0) -> SegmentationMask:
+def as_mask(raw) -> SegmentationMask:
     if isinstance(raw, SegmentationMask):
         return raw
-    return SegmentationMask(np.asarray(raw), background_label)
+    return SegmentationMask(np.asarray(raw))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -151,8 +142,8 @@ class MapPass:
             self._column_sums = _frozen(np.cumsum(self.map.values, axis=0))
         return self._column_sums
 
-    def class_tally(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Map-value sums and pixel counts per mask label, and the background label.
+    def class_tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Map-value sums and pixel counts per mask label, background (0) first.
 
         Raises ShapeMismatch when the mask's shape differs from the map's.
         """
@@ -162,7 +153,7 @@ class MapPass:
                 raise ShapeMismatch(f"map {self.map.shape} vs mask {mask.shape}")
             labels = mask.labels.ravel()
             sums = np.bincount(labels, weights=self.map.values.ravel())
-            self._tally = (sums, np.bincount(labels), mask.background_label)
+            self._tally = (sums, np.bincount(labels))
         return self._tally
 
     def padded(self) -> np.ndarray:
@@ -264,25 +255,3 @@ class FeatureMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    def row(self, i: int) -> "FeatureMatrix":
-        """Row ``i`` as a one-row matrix, so it keeps its column names."""
-        return FeatureMatrix(self.names, self.values[[i]])
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.names.index(name)].copy()
-        except ValueError:
-            raise FeatureMismatch(f"no feature named {name!r}") from None
-
-    def select(self, names: Iterable[str]) -> "FeatureMatrix":
-        names = tuple(names)
-        try:
-            idx = [self.names.index(n) for n in names]
-        except ValueError as exc:
-            raise FeatureMismatch(str(exc)) from None
-        return FeatureMatrix(names, self.values[:, idx])

@@ -121,7 +121,7 @@ def auroc(scores, labels):
 
 
 def dice(pred, gt, mode: str = "micro") -> float:
-    """Dice agreement between predicted and reference masks, background excluded.
+    """Dice agreement between predicted and reference masks, background (0) excluded.
 
     micro pools pixels over all foreground classes; macro averages per-class
     Dice over the classes present in either mask. Two all-background masks
@@ -131,19 +131,16 @@ def dice(pred, gt, mode: str = "micro") -> float:
     gt = as_mask(gt)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs gt {gt.shape}")
-    if pred.background_label != gt.background_label:
-        raise InvalidParam("masks disagree on the background label")
     p = pred.labels
     g = gt.labels
-    bg = pred.background_label
     if mode == "micro":
-        inter = int(((p == g) & (g != bg)).sum())
-        total = int((p != bg).sum() + (g != bg).sum())
+        inter = int(((p == g) & (g != 0)).sum())
+        total = int((p != 0).sum() + (g != 0).sum())
         if total == 0:
             return 1.0
         return 2.0 * inter / total
     if mode == "macro":
-        classes = (set(np.unique(p)) | set(np.unique(g))) - {bg}
+        classes = (set(np.unique(p)) | set(np.unique(g))) - {0}
         if not classes:
             return 1.0
         per_class = []
@@ -317,23 +314,16 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     return out
 
 
-def wilcoxon_one_sided(a, b=None) -> float:
-    """One-sided Wilcoxon signed-rank p-value for "a exceeds b".
+def wilcoxon_one_sided(d) -> float:
+    """One-sided Wilcoxon signed-rank p-value that the paired differences
+    ``d`` (a - b) are positive, i.e. that a exceeds b.
 
-    Accepts paired samples (a, b) or precomputed differences (b omitted).
     Zero differences are discarded; if all are zero the test is undefined and
     AllZeroDifferences is raised. Up to n = 25 the p-value is exact over all
     2^n sign assignments; beyond that a tie-corrected normal approximation
     with a 0.5 continuity correction is used.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if a.shape != b.shape:
-            raise LengthMismatch(f"{a.shape} vs {b.shape}")
-        d = a - b
-    else:
-        d = a
+    d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise InvalidParam("differences must be 1-D")
     if d.size == 0:

@@ -115,13 +115,11 @@ def class_averages(u, mask) -> dict[int, ClassAverage]:
     """Mean uncertainty and pixel count of each non-background class, by label.
 
     Raises ShapeMismatch when map and mask shapes differ and NoForeground
-    when every pixel carries the background label.
+    when every pixel carries the background label 0.
     """
-    sums, counts, background = as_pass(u, mask).class_tally()
+    sums, counts = as_pass(u, mask).class_tally()
     per_class: dict[int, ClassAverage] = {}
-    for c in np.nonzero(counts)[0]:
-        if c == background:
-            continue
+    for c in np.flatnonzero(counts[1:]) + 1:
         per_class[int(c)] = ClassAverage(float(sums[c] / counts[c]), int(counts[c]))
     if not per_class:
         raise NoForeground("mask contains only background pixels")
@@ -152,9 +150,9 @@ def qfr(u, mask) -> float:
     map, foreground or not.
     """
     p = as_pass(u, mask)
-    _, counts, background = p.class_tally()
+    _, counts = p.class_tally()
     total = p.values.size
-    fg = total - (int(counts[background]) if background < counts.size else 0)
+    fg = total - int(counts[0])
     if fg == 0:
         raise NoForeground("mask contains only background pixels")
     k = _top_k_count((fg / total) * total, total)

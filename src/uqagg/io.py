@@ -44,10 +44,13 @@ from .errors import (
 _MAGIC = b"\x93NUMPY"
 _READ_DTYPES = {"<f4", "<f8", "<i4", "<i8", "|u1"}
 
+# Whitespace is ASCII whitespace, and a shape is ASCII-digit integers
+# separated by commas, with at most one trailing comma.
 _HEADER_RE = re.compile(
     r"\{\s*'descr'\s*:\s*'([^']*)'\s*,"
     r"\s*'fortran_order'\s*:\s*(True|False)\s*,"
-    r"\s*'shape'\s*:\s*\(([0-9,\s]*)\)\s*,?\s*\}\s*"
+    r"\s*'shape'\s*:\s*\(\s*((?:[0-9]+\s*,\s*)*(?:[0-9]+\s*)?)\)\s*,?\s*\}\s*",
+    re.ASCII,
 )
 
 
@@ -116,7 +119,7 @@ def read_npy(path) -> np.ndarray:
         raise UnsupportedDtype(f"{path}: dtype {descr!r} outside {sorted(_READ_DTYPES)}")
     if fortran == "True":
         raise FortranOrderUnsupported(f"{path}: column-major payloads unsupported")
-    dims = [int(tok) for tok in shape_text.replace(" ", "").split(",") if tok]
+    dims = [int(tok) for tok in re.findall("[0-9]+", shape_text)]
     if len(dims) != 2:
         raise NonTwoDimensional(f"{path}: expected a 2-D shape, got {tuple(dims)}")
     dtype = np.dtype(descr)

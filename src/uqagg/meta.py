@@ -37,7 +37,7 @@ from .errors import (
 )
 from .io import _fmt_float, read_json
 from .rng import stream
-from .strategies import FULL_SET, INTENSITY_SET, SPATIAL_SET, parse_strategy
+from .strategies import FULL_SET, INTENSITY_SET, SPATIAL_SET, parse_strategy_list
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_K_MAX = 10
@@ -58,34 +58,35 @@ VARIANTS = {"all": FULL_SET, "int": INTENSITY_SET, "spa": SPATIAL_SET}
 
 @dataclass(frozen=True)
 class FeatureSetSpec:
-    """Named selection of strategy identifiers, in canonical order."""
+    """Named selection of strategy identifiers.
+
+    ``strategies`` is anything :func:`~uqagg.strategies.parse_strategy_list`
+    takes, a comma-separated string or a sequence of identifiers, and is
+    stored as the tuple of their canonical keys in the given order
+    (``eds:0.2`` becomes ``eds``). A key listed twice raises
+    DuplicateStrategy.
+    """
 
     variant: str
     strategies: tuple[str, ...]
 
     def __post_init__(self):
-        strategies = tuple(self.strategies)
-        if not strategies:
+        if not self.strategies:
             raise EmptyFeatureSet("feature set needs at least one strategy")
-        for s in strategies:
-            parse_strategy(s)
-        object.__setattr__(self, "strategies", strategies)
+        keys = tuple(s.key for s in parse_strategy_list(self.strategies))
+        object.__setattr__(self, "strategies", keys)
 
     @classmethod
     def all(cls) -> "FeatureSetSpec":
         return cls("all", VARIANTS["all"])
 
     @classmethod
-    def intensity_only(cls) -> "FeatureSetSpec":
-        return cls("int", VARIANTS["int"])
-
-    @classmethod
     def spatial_only(cls) -> "FeatureSetSpec":
         return cls("spa", VARIANTS["spa"])
 
     @classmethod
-    def custom(cls, strategies: Sequence[str]) -> "FeatureSetSpec":
-        return cls("custom", tuple(strategies))
+    def custom(cls, strategies: str | Sequence[str]) -> "FeatureSetSpec":
+        return cls("custom", strategies)
 
 
 def epsilon_rescale(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -367,7 +368,10 @@ def _match_matrix(features, spec: FeatureSetSpec) -> np.ndarray:
         missing = [s for s in spec.strategies if s not in features.names]
         if missing:
             raise FeatureMismatch(f"feature matrix lacks columns {missing}")
-        return features.select(spec.strategies).values
+        # A column gather can come out in Fortran order, and a reduction over
+        # it would sum in another order than over the plain array.
+        idx = [features.names.index(s) for s in spec.strategies]
+        return np.ascontiguousarray(features.values[:, idx])
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(spec.strategies):
         raise FeatureMismatch(
@@ -390,14 +394,10 @@ def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
 
 
 def meta_score(model: GmmModel, features) -> float:
-    """:func:`meta_score_matrix` on one row: a one-row FeatureMatrix such as
-    ``FeatureMatrix.row(i)``, or a plain vector in the model's feature order."""
-    if not isinstance(features, FeatureMatrix):
-        features = np.asarray(features, dtype=np.float64)[None]
-    nll = meta_score_matrix(model, features)
-    if nll.shape != (1,):
-        raise FeatureMismatch(f"expected one feature row, got {nll.shape[0]}")
-    return float(nll[0])
+    """:func:`meta_score_matrix` on one plain vector in the model's feature
+    order."""
+    row = np.asarray(features, dtype=np.float64)[None]
+    return float(meta_score_matrix(model, row)[0])
 
 
 def _apply_preproc(model: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -503,6 +503,19 @@ def _model_from_doc(doc) -> GmmModel:
         model.weights.shape != (k,) or model.feat_std.shape != (d,)
     ):
         raise ParseError("model JSON has inconsistent array shapes")
+    # Refuse what a fit never writes: its arrays are finite, its standard
+    # deviations positive (standardize_fit gives a constant column 1) and its
+    # mixing weights non-negative and not all zero.
+    for field, arr in (("feat_mean", model.feat_mean), ("feat_std", model.feat_std),
+                       ("pi", model.weights), ("mu", model.means),
+                       ("sigma", model.covariances)):
+        if not np.isfinite(arr).all():
+            raise ParseError(f"model JSON field {field!r} holds a non-finite value")
+    if (model.feat_std <= 0.0).any():
+        raise ParseError("model JSON field 'feat_std' must be positive")
+    if (model.weights < 0.0).any() or not (model.weights > 0.0).any():
+        raise ParseError("model JSON field 'pi' must be non-negative with a "
+                         "positive entry")
     return model
 
 

@@ -23,7 +23,7 @@ every strip pixel its full window, so the weights do not depend on the strips.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class WeightMap:
 
     weights: np.ndarray
     measure: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.asarray(self.weights, dtype=np.float64)
@@ -205,9 +204,9 @@ def spatial_weight_map(u, measure: str, *, tau: float = DEFAULT_EDGE_TAU,
     if measure == "moran":
         return WeightMap(_moran_weights(p), measure)
     if measure == "eds":
-        return WeightMap(_eds_weights(p, tau), measure, {"tau": tau})
+        return WeightMap(_eds_weights(p, tau), measure)
     if measure == "entropy":
-        return WeightMap(_entropy_weights(p, bins), measure, {"bins": bins})
+        return WeightMap(_entropy_weights(p, bins), measure)
     raise InvalidParam(f"unknown spatial measure {measure!r}; pick from {_MEASURES}")
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -684,6 +685,30 @@ _SPECS = {
     "spec-unknown-key": ({"iid": _ENTRY, "ood": _ENTRY, "ladders": [0.5]},
                          "spec has unknown key 'ladders'"),
 }
+# A valid model of two features; each case of _MODELS edits it into one that
+# save_model never writes.
+_MODEL = {
+    "version": "1", "feature_spec": {"variant": "custom", "strategies": ["avg", "mor"]},
+    "epsilon": 0.001, "feat_mean": [0.5, 0.5], "feat_std": [0.25, 0.25], "K": 1,
+    "pi": [1.0], "mu": [[0.0, 0.0]], "sigma": [[[1.0, 0.0], [0.0, 1.0]]],
+    "seed": 0, "n_train": 2, "bic": 0.0, "loglik": 0.0,
+}
+_MODELS = {
+    "model-feat-std-zero": ({"feat_std": [0.0, 0.0]},
+                            "model JSON field 'feat_std' must be positive"),
+    "model-feat-std-negative": ({"feat_std": [-1.0, 1.0]},
+                                "model JSON field 'feat_std' must be positive"),
+    "model-feat-mean-nan": ({"feat_mean": [math.nan, 0.5]},
+                            "model JSON field 'feat_mean' holds a non-finite value"),
+    "model-sigma-inf": ({"sigma": [[[math.inf, 0.0], [0.0, 1.0]]]},
+                        "model JSON field 'sigma' holds a non-finite value"),
+    "model-pi-nan": ({"pi": [math.nan]}, "model JSON field 'pi' holds a non-finite value"),
+    "model-pi-zero": ({"pi": [0.0]}, "model JSON field 'pi' must be non-negative "
+                      "with a positive entry"),
+    "model-pi-negative": ({"K": 2, "pi": [1.5, -0.5], "mu": [[0.0, 0.0]] * 2,
+                           "sigma": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
+                          "model JSON field 'pi' must be non-negative"),
+}
 # Each case: its command line and the start of its error message.
 _MALFORMED = {
     "manifest-not-utf8-aggregate": (
@@ -713,6 +738,18 @@ _MALFORMED = {
     **{name: (["synth", "--spec", f"{{d}}/{name}.json", "--out-dir", "{d}/out"],
               f"{{d}}/{name}.json: {words}")
        for name, (_, words) in _SPECS.items()},
+    **{name: (["gmm-score", "--model", f"{{d}}/{name}.json", "--features",
+               "{d}/pair.csv", "--out", "{d}/out.csv"], words)
+       for name, (_, words) in _MODELS.items()},
+    "spec-with-preset-options": (
+        ["synth", "--spec", "{d}/spec.json", "--out-dir", "{d}/out", "--seed", "9",
+         "--n-iid", "7", "--size", "32", "32", "--with-masks"],
+        "--spec sets every benchmark value from its file; drop --n-iid, --size, "
+        "--seed, --with-masks, which only the preset takes"),
+    "spec-with-default-seed": (
+        ["synth", "--spec", "{d}/spec.json", "--out-dir", "{d}/out", "--seed", "0"],
+        "--spec sets every benchmark value from its file; drop --seed, which only "
+        "the preset takes"),
 }
 
 
@@ -728,6 +765,10 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     (tmp_path / "twice.csv").write_text("sample_id,map_path,map_path\ns1,u.npy,u.npy\n")
     for name, (doc, _) in _SPECS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "spec.json").write_text(json.dumps({"iid": _ENTRY, "ood": _ENTRY}))
+    write_scores(tmp_path / "pair.csv", ["s1"], ["avg", "mor"], np.array([[0.5, 0.25]]))
+    for name, (edit, _) in _MODELS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**_MODEL, **edit}))
 
     argv, words = _MALFORMED[case]
     res = run_cli(*(arg.format(d=tmp_path) for arg in argv))
@@ -737,6 +778,16 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     assert len(errors) == 1, res.stderr
     assert errors[0].startswith("error: " + words.format(d=tmp_path))
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
+def test_unedited_model_of_the_malformed_cases_scores(tmp_path):
+    (tmp_path / "model.json").write_text(json.dumps(_MODEL))
+    write_scores(tmp_path / "pair.csv", ["s1"], ["avg", "mor"], np.array([[0.5, 0.25]]))
+    res = run_cli("gmm-score", "--model", str(tmp_path / "model.json"), "--features",
+                  str(tmp_path / "pair.csv"), "--out", str(tmp_path / "out.csv"))
+    assert (res.returncode, res.stderr) == (0, "")
+    ids, names, matrix = read_scores(tmp_path / "out.csv")
+    assert names == ["avg", "mor", "gmm:custom"] and np.isfinite(matrix).all()
 
 
 def test_spec_defaults_match_the_preset(tmp_path):

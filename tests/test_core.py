@@ -11,13 +11,12 @@ from uqagg import (
     NonTwoDimensional,
     OutOfRange,
     ProbabilityStack,
-    SegmentationMask,
     UncertaintyMap,
     as_mask,
     entropy_uncertainty,
     validate_map,
 )
-from uqagg.errors import FeatureMismatch, ShapeMismatch
+from uqagg.errors import ShapeMismatch
 
 
 def test_map_accepts_plain_lists_and_coerces_float64():
@@ -58,17 +57,10 @@ def test_map_identity_passthrough():
 def test_mask_basics():
     m = as_mask([[0, 1], [2, 1]])
     assert m.labels.dtype == np.int64
-    assert m.background_label == 0
-    np.testing.assert_array_equal(m.foreground(), [[False, True], [True, True]])
     with pytest.raises(OutOfRange):
         as_mask([[-1, 0]])
     with pytest.raises(NonTwoDimensional):
         as_mask([0, 1, 2])
-
-
-def test_mask_custom_background():
-    m = SegmentationMask(np.array([[3, 1], [3, 2]]), background_label=3)
-    assert m.foreground().sum() == 2
 
 
 def test_stack_entropy_two_class_extremes():
@@ -115,15 +107,6 @@ def test_stack_shape_validation():
 
 
 def test_feature_matrix_selection():
-    m = FeatureMatrix(("a", "b", "c"), np.arange(12.0).reshape(4, 3))
-    assert m.n_samples == 4
-    np.testing.assert_array_equal(m.column("b"), [1.0, 4.0, 7.0, 10.0])
-    sub = m.select(("c", "a"))
-    assert sub.names == ("c", "a")
-    np.testing.assert_array_equal(sub.row(1).values, [[5.0, 3.0]])
-    assert sub.row(-1).names == ("c", "a")
-    with pytest.raises(FeatureMismatch):
-        m.select(("a", "zz"))
     with pytest.raises(ShapeMismatch):
         FeatureMatrix(("a",), np.zeros((2, 2)))
 

@@ -189,6 +189,12 @@ def test_read_npy_header_grammar_rejections(tmp_path):
         "evil.npy": "{'descr': __import__('os'), 'fortran_order': False, "
         "'shape': (2, 2), }",
         "missing.npy": "{'descr': '<f8', 'shape': (2, 2), }",
+        # A shape is ASCII-digit integers and commas, one trailing comma at most.
+        "formfeed.npy": "{'descr': '<f8', 'fortran_order': False, 'shape': (4\x0c5, 6), }",
+        "doubled-comma.npy": "{'descr': '<f8', 'fortran_order': False, 'shape': (4,,6), }",
+        "leading-comma.npy": "{'descr': '<f8', 'fortran_order': False, 'shape': (,4,6), }",
+        "trailing-commas.npy":
+            "{'descr': '<f8', 'fortran_order': False, 'shape': (4, 6,,), }",
     }
     for name, header in cases.items():
         with pytest.raises(ParseError):

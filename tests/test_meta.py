@@ -10,6 +10,7 @@ from uqagg import (
     FeatureSetSpec,
     GmmModel,
     bic,
+    compute_features,
     em_fit,
     epsilon_rescale,
     fit_meta,
@@ -18,11 +19,13 @@ from uqagg import (
     meta_score_matrix,
     model_from_json,
     model_to_json,
+    parse_strategy_list,
     save_model,
     standardize_apply,
     standardize_fit,
 )
 from uqagg.errors import (
+    DuplicateStrategy,
     EmptyFeatureSet,
     FeatureMismatch,
     InvalidEpsilon,
@@ -34,7 +37,7 @@ from uqagg.errors import (
     TooFewSamples,
     UnknownStrategy,
 )
-from uqagg.meta import _log_components
+from uqagg.meta import VARIANTS, _log_components
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -291,9 +294,9 @@ def test_meta_score_name_matching_ignores_order():
     model = fit_meta(x, FeatureSetSpec.custom(["avg", "mor"]), k_max=2, seed=0)
     row = FeatureMatrix(("mor", "avg"), np.array([[0.7, 0.2]]))
     direct = meta_score(model, np.array([0.2, 0.7]))
-    assert meta_score(model, row) == pytest.approx(direct, rel=1e-15)
+    assert meta_score_matrix(model, row)[0] == pytest.approx(direct, rel=1e-15)
     with pytest.raises(FeatureMismatch):
-        meta_score(model, FeatureMatrix(("avg", "ent"), np.array([[0.2, 0.7]])))
+        meta_score_matrix(model, FeatureMatrix(("avg", "ent"), np.array([[0.2, 0.7]])))
 
 
 def test_meta_score_matrix_matches_rowwise():
@@ -333,7 +336,7 @@ def test_meta_score_mixture_weights_enter_likelihood():
 
 def test_feature_set_spec_variants():
     assert len(FeatureSetSpec.all().strategies) == 16
-    assert len(FeatureSetSpec.intensity_only().strategies) == 13
+    assert len(FeatureSetSpec("int", VARIANTS["int"]).strategies) == 13
     assert FeatureSetSpec.spatial_only().strategies == ("mor", "eds", "ent")
     with pytest.raises(UnknownStrategy):
         FeatureSetSpec.custom(["avg", "nope"])
@@ -341,6 +344,28 @@ def test_feature_set_spec_variants():
         FeatureSetSpec.custom(["gmm:model.json"])  # no nesting
     with pytest.raises(EmptyFeatureSet):
         FeatureSetSpec.custom([])
+
+
+def test_feature_set_spec_stores_canonical_keys():
+    spec = FeatureSetSpec.custom(["eds:0.2", "avg"])
+    assert spec.strategies == ("eds", "avg")
+    assert FeatureSetSpec.custom("ent:4, ata:.50").strategies == ("ent", "ata:0.5")
+    # The spec's keys are the column names compute_features writes.
+    rng = np.random.default_rng(29)
+    maps = [rng.random((16, 16)) for _ in range(12)]
+    feats = compute_features(maps, parse_strategy_list("avg,eds"))
+    model = fit_meta(feats, spec, k_max=2, seed=0)
+    assert model.feature_spec.strategies == ("eds", "avg")
+    np.testing.assert_array_equal(
+        meta_score_matrix(model, feats),
+        meta_score_matrix(model, np.ascontiguousarray(feats.values[:, ::-1])))
+
+
+def test_feature_set_spec_refuses_a_key_twice():
+    with pytest.raises(DuplicateStrategy):
+        FeatureSetSpec.custom(["avg", "avg"])
+    with pytest.raises(DuplicateStrategy):
+        FeatureSetSpec.custom(["eds", "eds:0.2"])  # one canonical key
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +399,16 @@ def test_model_file_round_trip(tmp_path):
     save_model(model, path)
     clone = load_model(path)
     assert model_to_json(clone) == model_to_json(model)
+
+
+def test_model_json_keys_come_back_canonical():
+    doc = json.loads(model_to_json(_small_model()))
+    doc["feature_spec"]["strategies"] = ["avg", "eds:0.2"]
+    model = model_from_json(json.dumps(doc))
+    assert model.feature_spec.strategies == ("avg", "eds")
+    doc["feature_spec"]["strategies"] = ["eds", "eds:0.2"]
+    with pytest.raises(DuplicateStrategy):
+        model_from_json(json.dumps(doc))
 
 
 def test_model_json_parse_errors():

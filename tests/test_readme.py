@@ -1,7 +1,11 @@
-"""Every fenced Python block of README.md runs as written."""
+"""Every fenced Python block of README.md runs as written, and every uqagg
+command of its sh blocks parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +35,27 @@ def test_strategy_docs_list_exactly_the_table_names():
     names = set(strategies.TABLE)
     assert _names(section.splitlines(), r"\| `([a-z]+)[:`]") == names
     assert _names(strategies.__doc__.splitlines(), r"    ([a-z]+)[\[: ]") == names
+
+
+def _sh_commands(text):
+    """Every ``uqagg`` command line of the README's sh blocks, continuations
+    joined, as an argument list."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("uqagg "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    from uqagg import cli
+
+    commands = _sh_commands(README.read_text(encoding="utf-8"))
+    assert {argv[0] for argv in commands} == {
+        "synth", "aggregate", "gmm-fit", "gmm-score", "eval", "rank"}
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:  # argparse's usage error
+            pytest.fail(f"README command does not parse: uqagg {shlex.join(argv)}")

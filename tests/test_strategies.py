@@ -132,7 +132,7 @@ def test_compute_features_shape_and_order():
     fm = compute_features(maps, strategies)
     assert fm.names == ("ent", "avg", "mor")
     assert fm.values.shape == (5, 3)
-    np.testing.assert_allclose(fm.column("avg"), [float(np.mean(m)) for m in maps])
+    np.testing.assert_allclose(fm.values[:, 1], [float(np.mean(m)) for m in maps])
 
 
 def test_compute_features_mask_policy():
