@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        f"{name} ({len(keys)} strategies)"
                        for name, keys in meta.VARIANTS.items()) + ", or custom")
     p.add_argument("--strategies", default=None,
-                   help="comma-separated identifiers (required for --variant custom)")
+                   help="comma-separated identifiers (--variant custom only, "
+                   "which requires them)")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
                    help="largest component count tried by BIC selection")
     p.add_argument("--seed", type=int, default=0, help="fit seed")
@@ -304,6 +305,11 @@ def _work_in_child(work, items: list, conn) -> None:
 
 def _spec_from_args(args) -> FeatureSetSpec:
     if args.variant in meta.VARIANTS:
+        if args.strategies is not None:
+            raise InvalidParam(
+                f"--variant {args.variant} names a fixed feature set; drop "
+                "--strategies, which only --variant custom takes"
+            )
         return FeatureSetSpec(args.variant, meta.VARIANTS[args.variant])
     if not args.strategies:
         raise InvalidParam("--variant custom needs --strategies")

@@ -28,6 +28,20 @@ from .errors import (
 # within tolerance are renormalized, rows outside are rejected.
 PROB_ROW_TOL = 1e-6
 
+# Pixels per row strip of the passes that sweep the map: the column running
+# sum, the patch means of plm and the 3x3 spatial weights. Rule: one strip's
+# live temporaries fit in a 2 MiB L2 cache. The largest kernel, Moran, keeps
+# about 13 strip-sized float64 arrays live beside its input rows and its
+# output, 16 in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
+_STRIP_PIXELS = 16384
+
+
+def _row_strips(rows: int, width: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` bounds that cover ``rows`` rows of ``width`` pixels in
+    consecutive strips of at most ``_STRIP_PIXELS`` pixels (one row at least)."""
+    step = max(1, _STRIP_PIXELS // width)
+    return [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
 
 def _as_grid(raw, dtype) -> np.ndarray:
     arr = np.asarray(raw, dtype=dtype)
@@ -137,9 +151,22 @@ class MapPass:
         return self._sorted
 
     def column_sums(self) -> np.ndarray:
-        """Running sums down each column of the map."""
+        """Running sums down each column of the map.
+
+        Taken over row strips that stay in cache, each strip's sums carrying
+        on from the last row of the strip above, so every sum is the one a
+        single pass down the column gives.
+        """
         if self._column_sums is None:
-            self._column_sums = _frozen(np.cumsum(self.map.values, axis=0))
+            vals = self.map.values
+            csum = np.empty_like(vals)
+            for r0, r1 in _row_strips(*vals.shape):
+                if r0 == 0:
+                    np.cumsum(vals[:r1], axis=0, out=csum[:r1])
+                else:
+                    csum[r0:r1] = vals[r0:r1]
+                    np.cumsum(csum[r0 - 1 : r1], axis=0, out=csum[r0 - 1 : r1])
+            self._column_sums = _frozen(csum)
         return self._column_sums
 
     def class_tally(self) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,9 @@ of the whole map.
 
 Every reduction takes a raw grid, an UncertaintyMap or a MapPass. Through one
 MapPass, the top-k reductions share one sort, the patch means one column
-running sum, and the class reductions one per-label tally.
+running sum, and the class reductions one per-label tally. The column running
+sum and the patch means' row sums are taken over row strips sized to stay in
+cache, with the strip budget of the spatial kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_pass
+from .core import _row_strips, as_pass
 from .errors import (
     InvalidParam,
     InvalidQuantile,
@@ -73,6 +75,10 @@ def plm(u, patch: int) -> float:
     less. A difference of running sums can still land a rounding step above
     the true window sum, so the result is capped at the map maximum, which no
     window mean exceeds.
+
+    The row pass runs over strips of window rows sized to stay in cache. Each
+    window sum is the same two differences of the same running sums in any
+    strip, so the result does not depend on the strips.
     """
     p = as_pass(u)
     vals = p.values
@@ -81,12 +87,17 @@ def plm(u, patch: int) -> float:
     if patch > min(m, n):
         raise PatchTooLarge(f"patch {patch} exceeds map extent {m}x{n}")
     csum = p.column_sums()
-    cols = csum[patch - 1 :].copy()  # sums over `patch` consecutive rows
-    cols[1:] -= csum[:-patch]
-    csum = np.cumsum(cols, axis=1)
-    boxes = csum[:, patch - 1 :].copy()  # ... and over `patch` columns
-    boxes[:, 1:] -= csum[:, :-patch]
-    return float(min(boxes.max() / (patch * patch), vals.max()))
+    best = -math.inf
+    for r0, r1 in _row_strips(m - patch + 1, n):
+        # windows with top rows r0..r1-1: sums over `patch` consecutive rows,
+        sums = csum[r0 + patch - 1 : r1 + patch - 1].copy()
+        lo = max(r0, 1)
+        sums[lo - r0 :] -= csum[lo - 1 : r1 - 1]
+        # then running sums along each row and their differences `patch` apart
+        np.cumsum(sums, axis=1, out=sums)
+        boxes = sums[:, patch:] - sums[:, :-patch]
+        best = max(best, sums[:, patch - 1].max(), boxes.max(initial=-math.inf))
+    return float(min(best / (patch * patch), vals.max()))
 
 
 def ata(u, threshold: float) -> float:

@@ -88,48 +88,61 @@ def write_npy(path, grid) -> None:
 
 
 def read_npy(path) -> np.ndarray:
-    """Read a 2-D NPY file (versions 1.0/2.0, restricted dtype set)."""
+    """Read a 2-D NPY file (versions 1.0/2.0, restricted dtype set).
+
+    The header is checked before the payload is read, and the payload size
+    against the file size before the array is allocated, so a header that
+    claims more than the file holds costs no memory. The payload is read
+    straight into the returned array, which the caller may write to.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise MissingFile(f"no such file: {path}") from None
-    if len(data) < len(_MAGIC) + 2 or data[: len(_MAGIC)] != _MAGIC:
-        raise BadMagic(f"{path}: not an NPY file")
-    major, minor = data[6], data[7]
-    if (major, minor) == (1, 0):
-        len_size, len_fmt = 2, "<H"
-    elif (major, minor) == (2, 0):
-        len_size, len_fmt = 4, "<I"
-    else:
-        raise ParseError(f"{path}: unsupported NPY version {major}.{minor}")
-    offset = 8 + len_size
-    if len(data) < offset:
-        raise TruncatedPayload(f"{path}: file ends inside the header length field")
-    (header_len,) = struct.unpack(len_fmt, data[8:offset])
-    header_end = offset + header_len
-    if len(data) < header_end:
-        raise TruncatedPayload(f"{path}: file ends inside the header")
-    header = data[offset:header_end].decode("latin1")  # decodes every byte
-    match = _HEADER_RE.fullmatch(header)
-    if match is None:
-        raise ParseError(f"{path}: header does not match the restricted grammar")
-    descr, fortran, shape_text = match.groups()
-    if descr not in _READ_DTYPES:
-        raise UnsupportedDtype(f"{path}: dtype {descr!r} outside {sorted(_READ_DTYPES)}")
-    if fortran == "True":
-        raise FortranOrderUnsupported(f"{path}: column-major payloads unsupported")
-    dims = [int(tok) for tok in re.findall("[0-9]+", shape_text)]
-    if len(dims) != 2:
-        raise NonTwoDimensional(f"{path}: expected a 2-D shape, got {tuple(dims)}")
-    dtype = np.dtype(descr)
-    expected = dims[0] * dims[1] * dtype.itemsize
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(dims[0], dims[1]).copy()
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(len(_MAGIC) + 2)
+        if len(lead) < len(_MAGIC) + 2 or lead[: len(_MAGIC)] != _MAGIC:
+            raise BadMagic(f"{path}: not an NPY file")
+        major, minor = lead[6], lead[7]
+        if (major, minor) == (1, 0):
+            len_size, len_fmt = 2, "<H"
+        elif (major, minor) == (2, 0):
+            len_size, len_fmt = 4, "<I"
+        else:
+            raise ParseError(f"{path}: unsupported NPY version {major}.{minor}")
+        field = fh.read(len_size)
+        if len(field) < len_size:
+            raise TruncatedPayload(f"{path}: file ends inside the header length field")
+        (header_len,) = struct.unpack(len_fmt, field)
+        header_end = len(lead) + len_size + header_len
+        if size < header_end:
+            raise TruncatedPayload(f"{path}: file ends inside the header")
+        header = fh.read(header_len).decode("latin1")  # decodes every byte
+        match = _HEADER_RE.fullmatch(header)
+        if match is None:
+            raise ParseError(f"{path}: header does not match the restricted grammar")
+        descr, fortran, shape_text = match.groups()
+        if descr not in _READ_DTYPES:
+            raise UnsupportedDtype(
+                f"{path}: dtype {descr!r} outside {sorted(_READ_DTYPES)}"
+            )
+        if fortran == "True":
+            raise FortranOrderUnsupported(f"{path}: column-major payloads unsupported")
+        dims = [int(tok) for tok in re.findall("[0-9]+", shape_text)]
+        if len(dims) != 2:
+            raise NonTwoDimensional(f"{path}: expected a 2-D shape, got {tuple(dims)}")
+        dtype = np.dtype(descr)
+        expected = dims[0] * dims[1] * dtype.itemsize
+        payload = size - header_end
+        if payload == expected:
+            arr = np.empty((dims[0], dims[1]), dtype=dtype)
+            payload = fh.readinto(arr)  # fewer bytes if the file shrank meanwhile
+        if payload != expected:
+            raise TruncatedPayload(
+                f"{path}: payload is {payload} bytes, header implies {expected}"
+            )
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ class FeatureSetSpec:
     takes, a comma-separated string or a sequence of identifiers, and is
     stored as the tuple of their canonical keys in the given order
     (``eds:0.2`` becomes ``eds``). A key listed twice raises
-    DuplicateStrategy.
+    DuplicateStrategy. A ``variant`` that names a set of ``VARIANTS`` must
+    list that set's strategies, in any order, or InvalidParam is raised.
     """
 
     variant: str
@@ -74,6 +75,12 @@ class FeatureSetSpec:
         if not self.strategies:
             raise EmptyFeatureSet("feature set needs at least one strategy")
         keys = tuple(s.key for s in parse_strategy_list(self.strategies))
+        named = VARIANTS.get(self.variant)
+        if named is not None and set(keys) != set(named):
+            raise InvalidParam(
+                f"feature set {self.variant!r} is the {len(named)} strategies "
+                f"{','.join(named)}; name any other set 'custom'"
+            )
         object.__setattr__(self, "strategies", keys)
 
     @classmethod
@@ -498,6 +505,8 @@ def _model_from_doc(doc) -> GmmModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model JSON is missing or mistypes a field: {exc}") from None
+    except InvalidParam as exc:
+        raise ParseError(f"model JSON field 'feature_spec': {exc}") from None
     d = model.d
     if model.means.shape != (k, d) or model.covariances.shape != (k, d, d) or (
         model.weights.shape != (k,) or model.feat_std.shape != (d,)

@@ -16,8 +16,14 @@ sum(U * W) / sum(U).
 
 All three measures read one edge-replicated pad of the map, built once per
 MapPass (``eds`` needs two rings, the others its inner one-ring view), and
-compute their weights over row strips sized to stay in cache. Halo rows give
-every strip pixel its full window, so the weights do not depend on the strips.
+compute their weights over row strips of the budget ``plm`` also uses, sized to
+stay in cache. Halo rows give every strip pixel its full window, so the
+weights do not depend on the strips.
+
+The kernels give the same bits as the literal definitions with less work:
+``eds`` compares squared gradient magnitudes with the squared threshold and
+calls ``np.hypot`` only for the pixels too close to call, and ``entropy``
+finds each value's bin by comparing ``v * bins`` with the bin edges.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapPass, UncertaintyMap, as_pass, validate_map
+from .core import MapPass, UncertaintyMap, _row_strips, as_pass, validate_map
 from .errors import InvalidParam, ShapeMismatch
 
 DEFAULT_EDGE_TAU = 0.2
@@ -76,13 +82,6 @@ _SHARES = np.arange(10) / 9.0
 with np.errstate(divide="ignore", invalid="ignore"):
     _PLOGP = np.where(_SHARES > 0.0, _SHARES * np.log(_SHARES), 0.0)
 
-# Pixels per row strip of the weight kernels. Rule: one strip's live
-# temporaries fit in a 2 MiB L2 cache. The largest kernel, Moran, keeps about
-# 13 strip-sized float64 arrays live beside its input rows and its output, 16
-# in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
-_STRIP_PIXELS = 16384
-
-
 def check_edge_tau(tau) -> float:
     """``tau`` when it is a valid eds gradient threshold, in (0, 1)."""
     if not (0.0 < tau < 1.0):
@@ -106,9 +105,7 @@ def _by_strips(padded: np.ndarray, ring: int, kernel, *args) -> np.ndarray:
     """
     m, n = padded.shape[0] - 2 * ring, padded.shape[1] - 2 * ring
     out = np.empty((m, n))
-    rows = max(1, _STRIP_PIXELS // n)
-    for r0 in range(0, m, rows):
-        r1 = min(r0 + rows, m)
+    for r0, r1 in _row_strips(m, n):
         out[r0:r1] = kernel(padded[r0 : r1 + 2 * ring], *args)
     return out
 
@@ -157,29 +154,67 @@ def _moran_strip(padded: np.ndarray) -> np.ndarray:
     return np.clip(moran, 0.0, 1.0)
 
 
-def _sobel_magnitude(padded: np.ndarray) -> np.ndarray:
+# eds decides np.hypot(gx, gy) > tau on squares. With dx = 4 gx and dy = 4 gy
+# (exact unless gx or gy is subnormal, and then off by at most 2^-1075),
+# s = fl(fl(dx^2) + fl(dy^2)) lies within 2.1 ulp of dx^2 + dy^2, give or take
+# 2^-1073 where a square underflows; T = fl((4 tau)^2) lies within half an ulp
+# of 16 tau^2, and np.hypot within a few ulp of the true magnitude. When T is
+# a normal float, s > T (1 + _EDGE_BAND) thus means hypot > tau and
+# s < T (1 - _EDGE_BAND) means hypot < tau: the relative band is over a
+# million times wider than those errors. Pixels inside it, and every pixel
+# when T is subnormal or zero, are decided by np.hypot itself.
+_EDGE_BAND = 1e-9
+
+
+def _sobel_edges(padded: np.ndarray, tau: float) -> np.ndarray:
+    """The flags ``np.hypot(gx, gy) > tau`` of the Sobel gradient (gx, gy),
+    decided on squared magnitudes wherever that gives the same answer."""
     # 3x3 Sobel scaled by 1/4 so a unit step yields gradient magnitude 1,
     # as a [1, 2, 1] smoothing pass followed by a difference across it.
+    # dx and dy are 4 gx and 4 gy; the threshold carries the scale instead.
     p = padded
-    down = p[:-2] + 2.0 * p[1:-1] + p[2:]
-    gx = (down[:, 2:] - down[:, :-2]) / 4.0
-    across = p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]
-    gy = (across[2:] - across[:-2]) / 4.0
-    return np.hypot(gx, gy)
+    down = p[1:-1] * 2.0
+    down += p[:-2]
+    down += p[2:]
+    dx = down[:, 2:] - down[:, :-2]
+    across = p[:, 1:-1] * 2.0
+    across += p[:, :-2]
+    across += p[:, 2:]
+    dy = across[2:] - across[:-2]
+    t4 = 4.0 * float(tau)
+    limit = t4 * t4  # T, the bound on dx^2 + dy^2
+    if limit < np.finfo(np.float64).tiny:
+        return np.hypot(dx / 4.0, dy / 4.0) > tau
+    s = np.multiply(dx, dx)
+    s += np.multiply(dy, dy, out=across[:-2])
+    flags = s > limit * (1.0 + _EDGE_BAND)
+    near = s >= limit * (1.0 - _EDGE_BAND)
+    near ^= flags  # inside the band
+    if near.any():
+        at = np.flatnonzero(near)
+        flags.flat[at] = np.hypot(dx.flat[at] / 4.0, dy.flat[at] / 4.0) > tau
+    return flags
 
 
 def _eds_strip(padded: np.ndarray, tau: float) -> np.ndarray:
     # ``padded`` carries two replicate rings: the outer one feeds the Sobel
     # pass so gradients exist on the ring the window sweep sees.
-    return _box3_count(_sobel_magnitude(padded) > tau) / 9.0
+    return _box3_count(_sobel_edges(padded, tau)) / 9.0
 
 
 def _entropy_strip(padded: np.ndarray, bins: int) -> np.ndarray:
-    # Equal-width bins on [0, 1], half-open except the last one.
-    idx = np.minimum((padded * bins).astype(np.int64), bins - 1)
-    acc = _PLOGP[_box3_count(idx == 0)]
-    for b in range(1, bins):
-        acc += _PLOGP[_box3_count(idx == b)]
+    # Equal-width bins on [0, 1], half-open except the last one: value v goes
+    # to bin min(floor(v * bins), bins - 1). For t = v * bins >= 0 that bin is
+    # b or above exactly when t >= b (1 <= b < bins), so each bin's window
+    # count is the difference of two window counts of such comparisons.
+    t = padded * bins
+    above = _box3_count(t >= 1)  # window pixels in bin 1 or above
+    acc = np.take(_PLOGP, 9 - above)
+    for b in range(2, bins):
+        higher = _box3_count(t >= b)
+        acc += np.take(_PLOGP, above - higher)  # bin b - 1
+        above = higher
+    acc += np.take(_PLOGP, above)  # the last bin
     ent = -acc / np.log(bins)
     return np.clip(ent, 0.0, 1.0)
 

@@ -708,6 +708,10 @@ _MODELS = {
     "model-pi-negative": ({"K": 2, "pi": [1.5, -0.5], "mu": [[0.0, 0.0]] * 2,
                            "sigma": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
                           "model JSON field 'pi' must be non-negative"),
+    # a named variant with other strategies would score into a misnamed column
+    "model-variant-int-other-strategies": (
+        {"feature_spec": {"variant": "int", "strategies": ["mor", "eds", "ent"]}},
+        "model JSON field 'feature_spec': feature set 'int' is the 13 strategies"),
 }
 # Each case: its command line and the start of its error message.
 _MALFORMED = {
@@ -746,6 +750,11 @@ _MALFORMED = {
          "--n-iid", "7", "--size", "32", "32", "--with-masks"],
         "--spec sets every benchmark value from its file; drop --n-iid, --size, "
         "--seed, --with-masks, which only the preset takes"),
+    **{f"gmm-fit-{variant}-with-strategies": (
+        ["gmm-fit", "--features", "{d}/pair.csv", "--variant", variant,
+         "--strategies", "avg,mor", "--out", "{d}/out.csv"],
+        f"--variant {variant} names a fixed feature set; drop --strategies, which "
+        "only --variant custom takes") for variant in ("all", "int", "spa")},
     "spec-with-default-seed": (
         ["synth", "--spec", "{d}/spec.json", "--out-dir", "{d}/out", "--seed", "0"],
         "--spec sets every benchmark value from its file; drop --seed, which only "

@@ -19,6 +19,7 @@ from uqagg import (
     qfr,
     validate_map,
 )
+from uqagg import core
 from uqagg.core import SegmentationMask
 from uqagg.errors import InvalidParam
 
@@ -130,6 +131,23 @@ def test_plm_saturated_block_stays_at_one():
     u = validate_map(vals)
     for p in (1, 10):
         assert plm(u, p) == 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_plm_windows_across_strip_seams(rows, monkeypatch):
+    # a budget of `rows` map rows per strip spreads the window rows over many
+    # strips; the best window straddles the first seam
+    rng = np.random.default_rng(rows)
+    m, n = 23, 17
+    vals = rng.uniform(0.0, 0.5, (m, n))
+    vals[rows - 1 : rows + 3, 4:8] = rng.uniform(0.8, 1.0, (4, 4))
+    patches = (1, 2, 3, 4, 7, n)
+    whole = [plm(vals, p) for p in patches]
+    monkeypatch.setattr(core, "_STRIP_PIXELS", rows * n)
+    for p, before in zip(patches, whole):
+        got = plm(vals, p)
+        assert got == pytest.approx(_plm_oracle(vals, p), abs=1e-12)
+        assert got == before  # the same float in any strips
 
 
 def test_plm_rejects_bad_patch():

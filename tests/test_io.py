@@ -1,6 +1,7 @@
 import io as stdio
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,48 @@ def test_read_npy_version_2_header(tmp_path):
         + arr.tobytes()
     )
     np.testing.assert_array_equal(read_npy(path), arr)
+
+
+def test_read_npy_version_2_header_longer_than_a_read_buffer(tmp_path):
+    arr = np.arange(6.0).reshape(2, 3)
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), }"
+    text = (header + " " * 70_000 + "\n").encode("latin1")
+    path = tmp_path / "v2-long.npy"
+    path.write_bytes(
+        b"\x93NUMPY" + bytes((2, 0)) + struct.pack("<I", len(text)) + text
+        + arr.tobytes()
+    )
+    np.testing.assert_array_equal(read_npy(path), arr)
+
+
+def test_read_npy_payload_one_byte_off(tmp_path):
+    good = tmp_path / "good.npy"
+    write_npy(good, np.arange(6.0).reshape(2, 3))
+    raw = good.read_bytes()
+    for name, data, size in (("short", raw[:-1], 47), ("long", raw + b"\x00", 49)):
+        path = tmp_path / f"{name}.npy"
+        path.write_bytes(data)
+        with pytest.raises(TruncatedPayload,
+                           match=f"payload is {size} bytes, header implies 48"):
+            read_npy(path)
+
+
+def test_read_npy_huge_claim_allocates_nothing(tmp_path):
+    # a forged shape fails on the file size before any array exists
+    for shape, implied in (("1000000,1000000", 8 * 10**12), ("4000,4000", 128 * 10**6)):
+        header = f"{{'descr':'<f8','fortran_order':False,'shape':({shape})}}".encode()
+        data = b"\x93NUMPY" + bytes((1, 0)) + struct.pack("<H", len(header)) + header
+        path = tmp_path / "forged.npy"
+        path.write_bytes(data.ljust(100, b"\x00"))
+        assert path.stat().st_size == 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayload, match=f"header implies {implied}"):
+                read_npy(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_read_npy_error_taxonomy(tmp_path):

@@ -361,6 +361,19 @@ def test_feature_set_spec_stores_canonical_keys():
         meta_score_matrix(model, np.ascontiguousarray(feats.values[:, ::-1])))
 
 
+def test_feature_set_spec_named_variant_holds_its_set():
+    # a named variant is its fixed set, in any order; anything else is custom
+    for name, keys in VARIANTS.items():
+        assert set(FeatureSetSpec(name, keys[::-1]).strategies) == set(keys)
+        with pytest.raises(InvalidParam, match=f"feature set '{name}' is the"):
+            FeatureSetSpec(name, keys[:-1])
+    with pytest.raises(InvalidParam):
+        FeatureSetSpec("all", ["avg"])
+    with pytest.raises(InvalidParam):
+        FeatureSetSpec("int", ["mor", "eds", "ent"])
+    assert FeatureSetSpec.custom(VARIANTS["spa"]).variant == "custom"
+
+
 def test_feature_set_spec_refuses_a_key_twice():
     with pytest.raises(DuplicateStrategy):
         FeatureSetSpec.custom(["avg", "avg"])

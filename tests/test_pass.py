@@ -15,7 +15,7 @@ from test_spatial import (
     _moran_oracle,
 )
 from uqagg import FULL_SET, SegmentationMask, parse_strategy_list, spatial_weight_map
-from uqagg import spatial
+from uqagg import core
 from uqagg.core import MapPass, as_pass
 from uqagg.errors import InvalidParam, MaskRequired, ShapeMismatch
 
@@ -27,7 +27,7 @@ def _noisy_map():
 def _strip_rows(vals, rows, monkeypatch):
     """Set the strip budget to ``rows`` rows of the map's width."""
     m, n = vals.shape
-    monkeypatch.setattr(spatial, "_STRIP_PIXELS", rows * n)
+    monkeypatch.setattr(core, "_STRIP_PIXELS", rows * n)
     assert -(-m // rows) >= 3  # the map spans several strips
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uqagg import spatial
 from uqagg import (
     WeightMap,
     eds,
@@ -250,6 +251,104 @@ def test_entropy_last_bin_is_closed():
     # values exactly 1.0 must land in the top bin, not overflow past it
     w = spatial_weight_map(np.ones((4, 4)), "entropy", bins=4).weights
     np.testing.assert_array_equal(w, np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------------------------
+# fast kernels against their literal definitions, bit for bit
+
+
+def _sobel_gradient(padded):
+    # gx, gy of every pixel with a full 3x3 window, as eds first wrote them
+    down = padded[:-2] + 2.0 * padded[1:-1] + padded[2:]
+    gx = (down[:, 2:] - down[:, :-2]) / 4.0
+    across = padded[:, :-2] + 2.0 * padded[:, 1:-1] + padded[:, 2:]
+    gy = (across[2:] - across[:-2]) / 4.0
+    return gx, gy
+
+
+def _assert_edges_equal_hypot(padded, tau):
+    gx, gy = _sobel_gradient(padded)
+    np.testing.assert_array_equal(spatial._sobel_edges(padded, tau),
+                                  np.hypot(gx, gy) > tau)
+
+
+def test_eds_flags_equal_hypot_around_each_magnitude():
+    # tau set to a pixel's own magnitude and one ulp either side of it
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e-3, 1e-150):
+        padded = rng.random((14, 15)) * scale
+        mag = np.hypot(*_sobel_gradient(padded)).ravel()
+        for tau in rng.choice(mag[(mag > 0.0) & (mag < 1.0)], 25):
+            for t in (np.nextafter(tau, 0.0), tau, np.nextafter(tau, 1.0)):
+                _assert_edges_equal_hypot(padded, float(t))
+
+
+@pytest.mark.parametrize("tau", [0.2, 1e-156, 1e-160, 1e-200, 1e-300])
+def test_eds_flags_equal_hypot_on_the_threshold_circle(tau):
+    # gradients (tau cos t, tau sin t), one per window centre: a 2 gx right of
+    # the centre and a 2 gy below it. From 1e-156 down, (4 tau)^2 is
+    # subnormal or 0 and the squares round on a coarse grid.
+    theta = np.linspace(0.0, np.pi / 2, 3000)
+    centres = 3 * np.arange(len(theta))
+    padded = np.zeros((3, 3 * len(theta)))
+    padded[1, centres + 2] = 2.0 * tau * np.cos(theta)
+    padded[2, centres + 1] = 2.0 * tau * np.sin(theta)
+    _assert_edges_equal_hypot(padded, tau)
+
+
+def test_eds_step_of_height_tau_is_no_edge():
+    # a step of dyadic height h gives gradient magnitude exactly h beside it;
+    # 2^-664 squared underflows to 0
+    for h in (0.25, 0.375, 2.0**-664):
+        vals = np.zeros((6, 7))
+        vals[:, 4:] = h
+        assert not spatial_weight_map(vals, "eds", tau=h).weights.any()
+        for tau in (np.nextafter(h, 0.0), np.nextafter(h, 1.0)):
+            got = spatial_weight_map(vals, "eds", tau=float(tau)).weights
+            np.testing.assert_array_equal(got, _eds_oracle(vals, float(tau)))
+        assert spatial_weight_map(vals, "eds", tau=float(np.nextafter(h, 0.0))
+                                  ).weights.any()
+
+
+def test_eds_flags_equal_hypot_when_squares_underflow():
+    rng = np.random.default_rng(9)
+    # tau^2 underflows to 0, and so do the squared gradients
+    padded = rng.integers(0, 4, (10, 11)) * 1e-200
+    for t in (1e-200, np.nextafter(1e-200, 0.0), np.nextafter(1e-200, 1.0), 3e-200):
+        _assert_edges_equal_hypot(padded, float(t))
+    # (4 tau)^2 is just normal while gx^2 is subnormal; and a normal tau^2
+    # above gradients whose squares are subnormal
+    tau = 4e-155
+    padded = rng.integers(0, 3, (10, 11)) * tau
+    for t in (tau, np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)):
+        _assert_edges_equal_hypot(padded, float(t))
+    _assert_edges_equal_hypot(rng.random((10, 11)) * 1e-160, 1e-150)
+    _assert_edges_equal_hypot(rng.random((10, 11)) * 1e-310, 1e-310)
+
+
+def _int_cast_entropy(vals, bins):
+    # the entropy weights as first written: bin min(int(v * bins), bins - 1)
+    # and the p ln p table added in bin order
+    m, n = vals.shape
+    idx = np.minimum((_pad_replicate(vals, 1) * bins).astype(np.int64), bins - 1)
+    acc = np.zeros((m, n))
+    for b in range(bins):
+        hit = (idx == b).astype(np.int64)
+        counts = sum(hit[a : a + m, c : c + n] for a in range(3) for c in range(3))
+        acc += spatial._PLOGP[counts]
+    return np.clip(-acc / np.log(bins), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4, 9])
+def test_entropy_values_on_bin_edges(bins):
+    edges = [b / bins for b in range(bins + 1)]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    levels = np.array(sorted({float(v) for v in edges + near if 0.0 <= v <= 1.0}))
+    vals = np.random.default_rng(bins).choice(levels, (13, 11))
+    vals[0, :3] = 1.0
+    got = spatial_weight_map(vals, "entropy", bins=bins).weights
+    np.testing.assert_allclose(got, _entropy_oracle(vals, bins), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got, _int_cast_entropy(vals, bins))
 
 
 def test_unknown_measure_and_bad_params():
