@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import evaluation, io, meta, synth
-from .core import MapPass, SegmentationMask, validate_map
+from .core import MapPass, as_mask, validate_map
 from .errors import (
     DuplicateColumn,
     DuplicateId,
@@ -164,11 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(manifest: io.Manifest, row: io.ManifestRow, rel: str, make):
-    """``make`` applied to the array in one of a sample's files. An error is
-    re-raised as the same type behind ``sample '<id>' (<path>): ``."""
+    """``make`` applied to the array in one of a sample's files, which it owns
+    (``owned=True``): no one else holds the array ``io.read_npy`` returns. An
+    error is re-raised as the same type behind ``sample '<id>' (<path>): ``."""
     path = manifest.resolve(rel)
     try:
-        return make(io.read_npy(path))
+        return make(io.read_npy(path), owned=True)
     except UqaggError as exc:
         raise type(exc)(f"sample {row.sample_id!r} ({path}): {exc}") from None
 
@@ -201,7 +202,7 @@ def _cmd_aggregate(args) -> int:
         for i, row in enumerate(rows):
             u = _load(manifest, row, row.map_path, validate_map)
             mask = (None if row.mask_path is None
-                    else _load(manifest, row, row.mask_path, SegmentationMask))
+                    else _load(manifest, row, row.mask_path, as_mask))
             try:
                 block[i], row_notes = score_map(MapPass(u, mask), strategies)
             except UqaggError as exc:

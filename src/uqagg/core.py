@@ -6,11 +6,17 @@ the background. A probability stack holds L sampled softmax outputs
 over K classes and reduces to an uncertainty map by averaging the samples and
 taking normalized Shannon entropy. A map pass scores one map with several
 strategies and builds what they share once.
+
+Maps and masks are immutable. They keep read-only copies of the arrays they
+are given, so a caller may go on writing to its own arrays. A caller that
+holds the only reference to a fresh array, as ``aggregate`` does with what
+``io.read_npy`` returns, hands it over with ``owned=True`` instead: the grid
+keeps that array, frozen, with no second copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -31,8 +37,8 @@ PROB_ROW_TOL = 1e-6
 # Pixels per row strip of the passes that sweep the map: the column running
 # sum, the patch means of plm and the 3x3 spatial weights. Rule: one strip's
 # live temporaries fit in a 2 MiB L2 cache. The largest kernel, Moran, keeps
-# about 13 strip-sized float64 arrays live beside its input rows and its
-# output, 16 in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
+# 12 strip-sized float64 arrays live beside its input rows and its output,
+# under 16 in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
 _STRIP_PIXELS = 16384
 
 
@@ -41,6 +47,11 @@ def _row_strips(rows: int, width: int) -> list[tuple[int, int]]:
     consecutive strips of at most ``_STRIP_PIXELS`` pixels (one row at least)."""
     step = max(1, _STRIP_PIXELS // width)
     return [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_grid(raw, dtype) -> np.ndarray:
@@ -54,47 +65,62 @@ def _as_grid(raw, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UncertaintyMap:
-    """Immutable 2-D grid of uncertainty values in [0, 1]."""
+    """Immutable 2-D grid of uncertainty values in [0, 1].
+
+    The map keeps a read-only copy of the values it is given, so later writes
+    to the caller's array change nothing; ``validate_map(raw, owned=True)``
+    takes an array over without the copy.
+    """
 
     values: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         arr = _as_grid(self.values, np.float64)
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN, so they are finite only when every
+        # value is
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFinite("uncertainty map contains NaN or infinity")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise OutOfRange(
-                f"uncertainty values must lie in [0, 1], got "
-                f"[{arr.min()}, {arr.max()}]"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        if lo < 0.0 or hi > 1.0:
+            raise OutOfRange(f"uncertainty values must lie in [0, 1], got [{lo}, {hi}]")
+        object.__setattr__(self, "values", _frozen(arr if _owned else arr.copy()))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
 
-def validate_map(raw) -> UncertaintyMap:
+def validate_map(raw, *, owned: bool = False) -> UncertaintyMap:
     """Validate a raw grid and wrap it as an :class:`UncertaintyMap`.
+
+    The map holds a read-only copy of ``raw``. With ``owned=True`` the caller
+    hands ``raw`` over instead, as ``aggregate`` does with the array
+    ``io.read_npy`` has just read: a float64 grid becomes the map's values
+    without a copy and is frozen, and the caller must not write to it through
+    any other view.
 
     Raises NonTwoDimensional, EmptyGrid, NonFinite, or OutOfRange when the
     input is not a non-empty 2-D grid of finite values in [0, 1].
     """
     if isinstance(raw, UncertaintyMap):
         return raw
-    return UncertaintyMap(raw)
+    return UncertaintyMap(raw, owned)
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentationMask:
     """Immutable 2-D grid of non-negative integer class labels; 0 is the
-    background, excluded from foreground statistics."""
+    background, excluded from foreground statistics.
+
+    Like :class:`UncertaintyMap`, the mask keeps a read-only copy of the labels
+    it is given; ``as_mask(raw, owned=True)`` takes an array over without it.
+    """
 
     labels: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         raw = np.asarray(self.labels)
         if not np.issubdtype(raw.dtype, np.integer):
             if np.issubdtype(raw.dtype, np.floating) and not (
@@ -104,24 +130,19 @@ class SegmentationMask:
         arr = _as_grid(raw, np.int64)
         if arr.min() < 0:
             raise OutOfRange(f"mask labels must be non-negative, got min {arr.min()}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "labels", _frozen(arr if _owned else arr.copy()))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
 
 
-def as_mask(raw) -> SegmentationMask:
+def as_mask(raw, *, owned: bool = False) -> SegmentationMask:
+    """``raw`` as a :class:`SegmentationMask`; ``owned`` as in
+    :func:`validate_map`, for an int64 grid."""
     if isinstance(raw, SegmentationMask):
         return raw
-    return SegmentationMask(np.asarray(raw))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+    return SegmentationMask(raw, owned)
 
 
 class MapPass:
@@ -133,16 +154,24 @@ class MapPass:
     one thread and takes no lock.
     """
 
-    __slots__ = ("map", "mask", "_sorted", "_column_sums", "_tally", "_padded")
+    __slots__ = ("map", "mask", "_total", "_sorted", "_column_sums", "_tally",
+                 "_padded")
 
     def __init__(self, u, mask=None):
         self.map = validate_map(u)
         self.mask = mask
-        self._sorted = self._column_sums = self._tally = self._padded = None
+        self._total = self._sorted = self._column_sums = None
+        self._tally = self._padded = None
 
     @property
     def values(self) -> np.ndarray:
         return self.map.values
+
+    def total(self) -> float:
+        """The sum of every map value."""
+        if self._total is None:
+            self._total = float(self.map.values.sum())
+        return self._total
 
     def sorted_values(self) -> np.ndarray:
         """Every map value in ascending order, flat."""
@@ -178,9 +207,16 @@ class MapPass:
             mask = as_mask(self.mask)
             if mask.shape != self.map.shape:
                 raise ShapeMismatch(f"map {self.map.shape} vs mask {mask.shape}")
+            # np.bincount would copy both read-only grids first. np.add.at
+            # reads them in place and adds in the same pixel order, so each
+            # sum is bincount's to the bit.
             labels = mask.labels.ravel()
-            sums = np.bincount(labels, weights=self.map.values.ravel())
-            self._tally = (sums, np.bincount(labels))
+            size = int(labels.max()) + 1
+            sums = np.zeros(size)
+            np.add.at(sums, labels, self.map.values.ravel())
+            counts = np.zeros(size, dtype=np.intp)
+            np.add.at(counts, labels, 1)
+            self._tally = (sums, counts)
         return self._tally
 
     def padded(self) -> np.ndarray:

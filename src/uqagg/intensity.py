@@ -7,10 +7,11 @@ with equal or area-proportional weights, and the foreground-sized top fraction
 of the whole map.
 
 Every reduction takes a raw grid, an UncertaintyMap or a MapPass. Through one
-MapPass, the top-k reductions share one sort, the patch means one column
-running sum, and the class reductions one per-label tally. The column running
-sum and the patch means' row sums are taken over row strips sized to stay in
-cache, with the strip budget of the spatial kernels.
+MapPass, the mean takes the map total the spatial reductions also use, the
+top-k reductions share one sort, the patch means one column running sum, and
+the class reductions one per-label tally. The column running sum and the
+patch means' row sums are taken over row strips sized to stay in cache, with
+the strip budget of the spatial kernels.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def check_quantile(q) -> float:
 
 def avg(u) -> float:
     """Global mean of the map."""
-    return float(as_pass(u).values.mean())
+    p = as_pass(u)
+    return p.total() / p.values.size
 
 
 def plm(u, patch: int) -> float:
@@ -90,9 +92,12 @@ def plm(u, patch: int) -> float:
     best = -math.inf
     for r0, r1 in _row_strips(m - patch + 1, n):
         # windows with top rows r0..r1-1: sums over `patch` consecutive rows,
-        sums = csum[r0 + patch - 1 : r1 + patch - 1].copy()
+        sums = np.empty((r1 - r0, n))
         lo = max(r0, 1)
-        sums[lo - r0 :] -= csum[lo - 1 : r1 - 1]
+        if r0 == 0:
+            sums[0] = csum[patch - 1]
+        np.subtract(csum[lo + patch - 1 : r1 + patch - 1], csum[lo - 1 : r1 - 1],
+                    out=sums[lo - r0 :])
         # then running sums along each row and their differences `patch` apart
         np.cumsum(sums, axis=1, out=sums)
         boxes = sums[:, patch:] - sums[:, :-patch]

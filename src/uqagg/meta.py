@@ -189,10 +189,11 @@ def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = np.inf
     for _ in range(1, k):
-        d2 = np.min(
-            ((x[:, None, :] - x[chosen][None, :, :]) ** 2).sum(axis=2), axis=1
-        )
+        # squared distance to the nearest centre: only the newest one can
+        # lower the running minimum
+        d2 = np.minimum(d2, ((x - x[chosen[-1]]) ** 2).sum(axis=1))
         total = d2.sum()
         if total <= 0.0:
             chosen.append(int(rng.integers(n)))

@@ -21,9 +21,16 @@ stay in cache. Halo rows give every strip pixel its full window, so the
 weights do not depend on the strips.
 
 The kernels give the same bits as the literal definitions with less work:
-``eds`` compares squared gradient magnitudes with the squared threshold and
-calls ``np.hypot`` only for the pixels too close to call, and ``entropy``
-finds each value's bin by comparing ``v * bins`` with the bin edges.
+``moran`` scales its sums once and compares no window cells, since the
+arithmetic of an exactly constant window gives weight 1 by itself (see the
+comment above ``_moran_strip``), ``eds`` compares squared gradient
+magnitudes with the squared threshold and calls ``np.hypot`` only for the
+pixels too close to call, and ``entropy`` finds each value's bin by comparing
+``v * bins`` with the bin edges.
+
+The mass ratios take sum(U) from the pass, which sums the map once for all
+of them, and multiply each fresh weight map by U in place; ``smr`` multiplies
+a caller's weight map into a new array.
 """
 
 from __future__ import annotations
@@ -99,14 +106,15 @@ def check_entropy_bins(bins) -> int:
 def _by_strips(padded: np.ndarray, ring: int, kernel, *args) -> np.ndarray:
     """Weights of a map padded by ``ring`` pixels, one row strip at a time.
 
-    ``kernel`` maps a padded strip (its rows plus ``ring`` halo rows above and
-    below) to the weights of the strip's rows, so each pixel sees the same
-    window and the same arithmetic as in one whole-map pass.
+    ``kernel(strip, out, *args)`` writes to ``out`` the weights of the rows of
+    a padded strip (its rows plus ``ring`` halo rows above and below), so each
+    pixel sees the same window and the same arithmetic as in one whole-map
+    pass.
     """
     m, n = padded.shape[0] - 2 * ring, padded.shape[1] - 2 * ring
     out = np.empty((m, n))
     for r0, r1 in _row_strips(m, n):
-        out[r0:r1] = kernel(padded[r0 : r1 + 2 * ring], *args)
+        kernel(padded[r0 : r1 + 2 * ring], out[r0:r1], *args)
     return out
 
 
@@ -127,31 +135,42 @@ def _box3_count(flags: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _moran_strip(padded: np.ndarray) -> np.ndarray:
+# Moran gives an exactly constant window weight 1 by convention, and its
+# arithmetic already does, so no window cells are compared. Take nine copies
+# of c in (0, 1] and u = 2^-53. The running sum is off 9 c by at most
+# u c (2 + ... + 9) = 44 u c, so the mean lies within (44/9 + 1) u c < 6 u c
+# of c. Then z = c - mean is exact (Sterbenz) and the same in every cell,
+# fewer than 24 steps of the finer of the two values' float spacings. So
+# p = fl(z^2) has at most 10 significant bits: z^2 exactly, or, where z^2 is
+# subnormal, a multiple of 2^-1074 below 2^-1064. Hence denom = 9 p and the
+# pair sum 20 p are exact, and fl(fl(9/20) * 20 p) = 9 p, because
+# fl(9/20) = (9/20)(1 + e) with e < 2.5e-17 moves 9 p by less than half its
+# spacing. The weight is 9 p / 9 p = 1, or denom is 0 (c = 0 among others),
+# and a zero denom gets weight 1 below.
+
+
+def _moran_strip(padded: np.ndarray, out: np.ndarray) -> None:
     cells = _views9(padded)
-    mean = cells[0].copy()
-    for cell in cells[1:]:
+    mean = np.add(cells[0], cells[1])
+    for cell in cells[2:]:
         mean += cell
     mean /= 9.0
     z = [cell - mean for cell in cells]
-    tmp = np.empty_like(mean)
-    denom = np.zeros_like(mean)
-    for zk in z:
+    tmp = mean  # the mean is spent once the deviations exist
+    denom = np.multiply(z[0], z[0])
+    for zk in z[1:]:
         denom += np.multiply(zk, zk, out=tmp)
-    num = np.zeros_like(mean)
+    num = np.zeros_like(denom)
     for a, b in _PAIRS:
         num += np.multiply(z[a], z[b], out=tmp)
-    num *= 2.0
-    # Exactly constant windows get weight 1 by convention; the equality test
-    # avoids trusting a float variance near zero.
-    constant = np.ones(mean.shape, dtype=bool)
-    same = np.empty_like(constant)
-    for cell in cells[1:]:
-        constant &= np.equal(cell, cells[0], out=same)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    moran = (9.0 / _S0) * num / safe
-    moran = np.where(constant | (denom <= 0.0), 1.0, moran)
-    return np.clip(moran, 0.0, 1.0)
+    # (9 / S0) * (2 num) / denom; 2 fl(9/40) is fl(9/20), so one scaling
+    # gives the same bits
+    num *= 2.0 * (9.0 / _S0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num /= denom
+    if denom.min() <= 0.0:
+        np.copyto(num, 1.0, where=denom <= 0.0)
+    np.clip(num, 0.0, 1.0, out=out)
 
 
 # eds decides np.hypot(gx, gy) > tau on squares. With dx = 4 gx and dy = 4 gy
@@ -196,13 +215,13 @@ def _sobel_edges(padded: np.ndarray, tau: float) -> np.ndarray:
     return flags
 
 
-def _eds_strip(padded: np.ndarray, tau: float) -> np.ndarray:
+def _eds_strip(padded: np.ndarray, out: np.ndarray, tau: float) -> None:
     # ``padded`` carries two replicate rings: the outer one feeds the Sobel
     # pass so gradients exist on the ring the window sweep sees.
-    return _box3_count(_sobel_edges(padded, tau)) / 9.0
+    np.divide(_box3_count(_sobel_edges(padded, tau)), 9.0, out=out)
 
 
-def _entropy_strip(padded: np.ndarray, bins: int) -> np.ndarray:
+def _entropy_strip(padded: np.ndarray, out: np.ndarray, bins: int) -> None:
     # Equal-width bins on [0, 1], half-open except the last one: value v goes
     # to bin min(floor(v * bins), bins - 1). For t = v * bins >= 0 that bin is
     # b or above exactly when t >= b (1 <= b < bins), so each bin's window
@@ -215,8 +234,8 @@ def _entropy_strip(padded: np.ndarray, bins: int) -> np.ndarray:
         acc += np.take(_PLOGP, above - higher)  # bin b - 1
         above = higher
     acc += np.take(_PLOGP, above)  # the last bin
-    ent = -acc / np.log(bins)
-    return np.clip(ent, 0.0, 1.0)
+    acc /= -np.log(bins)  # -acc / ln(bins), to the bit
+    np.clip(acc, 0.0, 1.0, out=out)
 
 
 def _moran_weights(p: MapPass) -> np.ndarray:
@@ -255,8 +274,8 @@ def spatial_decompose(u, w: WeightMap) -> tuple[UncertaintyMap, UncertaintyMap]:
     return high, low
 
 
-def _mass_ratio(vals: np.ndarray, weights: np.ndarray) -> float:
-    total = float(vals.sum())
+def _mass_ratio(total: float, weighted: np.ndarray) -> float:
+    """sum(U * W) / sum(U) from the map total and the product U * W."""
     if total == 0.0:
         warnings.warn(
             "spatial mass ratio of an all-zero map is defined as 0.0",
@@ -264,7 +283,7 @@ def _mass_ratio(vals: np.ndarray, weights: np.ndarray) -> float:
             stacklevel=3,
         )
         return 0.0
-    return float((vals * weights).sum() / total)
+    return float(weighted.sum() / total)
 
 
 def smr(u, w: WeightMap) -> float:
@@ -273,25 +292,31 @@ def smr(u, w: WeightMap) -> float:
     Defined as sum(U * W) / sum(U) in [0, 1]. An all-zero map has no mass to
     apportion; the ratio is defined as 0.0 and a RuntimeWarning is emitted.
     """
-    u = validate_map(u)
-    if u.shape != w.shape:
-        raise ShapeMismatch(f"map {u.shape} vs weight map {w.shape}")
-    return _mass_ratio(u.values, w.weights)
+    p = as_pass(u)
+    if p.map.shape != w.shape:
+        raise ShapeMismatch(f"map {p.map.shape} vs weight map {w.shape}")
+    return _mass_ratio(p.total(), p.values * w.weights)
+
+
+def _weighted(p: MapPass, weights: np.ndarray) -> np.ndarray:
+    """U * W in the buffer of ``weights``, which the caller just made."""
+    weights *= p.values
+    return weights
 
 
 def mor(u) -> float:
     """Mass fraction on positively autocorrelated pixels (windowed Moran's I)."""
     p = as_pass(u)
-    return _mass_ratio(p.values, _moran_weights(p))
+    return _mass_ratio(p.total(), _weighted(p, _moran_weights(p)))
 
 
 def eds(u, tau: float = DEFAULT_EDGE_TAU) -> float:
     """Mass fraction on edge-dense pixels (Sobel magnitude above ``tau``)."""
     p = as_pass(u)
-    return _mass_ratio(p.values, _eds_weights(p, tau))
+    return _mass_ratio(p.total(), _weighted(p, _eds_weights(p, tau)))
 
 
 def ent(u, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     """Mass fraction on locally heterogeneous pixels (windowed entropy)."""
     p = as_pass(u)
-    return _mass_ratio(p.values, _entropy_weights(p, bins))
+    return _mass_ratio(p.total(), _weighted(p, _entropy_weights(p, bins)))

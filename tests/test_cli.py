@@ -937,9 +937,9 @@ def test_aggregate_workers_send_other_warnings_back(tmp_path, capsys, monkeypatc
 
     check = cli.validate_map
 
-    def validate_and_warn(u):
+    def validate_and_warn(u, **kwargs):
         warnings.warn(f"map of mean {u.mean():.2f} read", UserWarning)
-        return check(u)
+        return check(u, **kwargs)
 
     monkeypatch.setattr(cli, "validate_map", validate_and_warn)
     manifest = _map_manifest(tmp_path, 6, zero=(4,))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uqagg import (
+    FULL_SET,
     EmptyGrid,
     FeatureMatrix,
     InvalidStack,
@@ -11,12 +12,16 @@ from uqagg import (
     NonTwoDimensional,
     OutOfRange,
     ProbabilityStack,
+    SegmentationMask,
     UncertaintyMap,
     as_mask,
     entropy_uncertainty,
+    parse_strategy_list,
     validate_map,
 )
+from uqagg.core import MapPass
 from uqagg.errors import ShapeMismatch
+from uqagg.strategies import score_map
 
 
 def test_map_accepts_plain_lists_and_coerces_float64():
@@ -29,6 +34,34 @@ def test_map_values_read_only():
     u = validate_map(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         u.values[0, 0] = 1.0
+
+
+def test_caller_arrays_stay_writable_and_unaliased():
+    rng = np.random.default_rng(6)
+    a = rng.random((60, 70))
+    b = (a > 0.5).astype(np.int64) + (a > 0.8).astype(np.int64)
+    bank = parse_strategy_list(FULL_SET)
+    for make_mask in (SegmentationMask, as_mask):
+        u, mask = validate_map(a), make_mask(b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(u.values, a)
+        assert not np.shares_memory(mask.labels, b)
+        before = score_map(MapPass(u, mask), bank)[0]
+        a[...], b[...] = 1.0 - a, 1 - np.minimum(b, 1)
+        after = score_map(MapPass(u, mask), bank)[0]
+        assert before.tobytes() == after.tobytes()
+
+
+def test_owned_arrays_are_kept_and_frozen():
+    a = np.random.default_rng(7).random((4, 5))
+    b = (a > 0.5).astype(np.int64)
+    u, mask = validate_map(a, owned=True), as_mask(b, owned=True)
+    assert u.values is a and mask.labels is b
+    assert not a.flags.writeable and not b.flags.writeable
+    # a grid of another dtype is converted, so the caller's array stays as is
+    c = (a > 0.5).astype(np.int32)
+    assert not np.shares_memory(as_mask(c, owned=True).labels, c)
+    assert c.flags.writeable
 
 
 def test_map_rejects_bad_inputs():

@@ -37,7 +37,7 @@ from uqagg.errors import (
     TooFewSamples,
     UnknownStrategy,
 )
-from uqagg.meta import VARIANTS, _log_components
+from uqagg.meta import VARIANTS, _kmeanspp_means, _log_components
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -194,6 +194,39 @@ def test_em_iterations_and_selected_k_frozen():
     assert [em_fit(z, k, seed=3).n_iter for k in range(1, 6)] == [3, 11, 7, 25, 19]
     spec = FeatureSetSpec.custom(["avg", "mor", "eds", "ent"])
     assert fit_meta(x, spec, k_max=5, seed=3).k == 3
+
+
+def _kmeanspp_before(x, k, rng):
+    # the seeding as first written: each step measures every chosen centre
+    n = x.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        d2 = np.min(
+            ((x[:, None, :] - x[chosen][None, :, :]) ** 2).sum(axis=2), axis=1
+        )
+        total = d2.sum()
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+            continue
+        r = rng.random() * total
+        chosen.append(int(np.searchsorted(np.cumsum(d2), r)))
+    return x[chosen].copy()
+
+
+@pytest.mark.parametrize("n", [4, 9, 64, 300])
+def test_kmeanspp_seeding_equals_first_version(n):
+    gen = np.random.default_rng(n)
+    for d in (1, 3, 8, 9, 16, 17):
+        x = gen.random((n, d))
+        # duplicate rows make ties and, with all rows alike, a zero total
+        tied = x.copy()
+        tied[: n // 2] = tied[0]
+        for data in (x, tied, np.repeat(x[:1], n, axis=0)):
+            for k in (1, 2, 3, min(n, 10)):
+                for seed in range(3):
+                    want = _kmeanspp_before(data, k, np.random.default_rng(seed))
+                    got = _kmeanspp_means(data, k, np.random.default_rng(seed))
+                    assert got.tobytes() == want.tobytes(), (d, k, seed)
 
 
 def test_em_validation():

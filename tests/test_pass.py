@@ -4,6 +4,8 @@ The strip tests shrink the strip budget so that small maps span many strips
 and check the weights against the brute-force oracles of test_spatial.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from test_spatial import (
 )
 from uqagg import FULL_SET, SegmentationMask, parse_strategy_list, spatial_weight_map
 from uqagg import core
-from uqagg.core import MapPass, as_pass
+from uqagg.core import MapPass, as_mask, as_pass, validate_map
+from uqagg.strategies import score_map
 from uqagg.errors import InvalidParam, MaskRequired, ShapeMismatch
 
 
@@ -97,6 +100,19 @@ def test_intermediates_are_built_once_and_read_only():
         assert not first.flags.writeable
     assert p.class_tally() is p.class_tally()
     assert np.array_equal(p.padded()[1:-1, 1:-1], np.pad(vals, 1, mode="edge"))
+    assert p.total() == vals.sum()
+
+
+def test_class_tally_equals_bincount_bitwise():
+    # many labels in random order and values over many magnitudes, so any
+    # other summation order would move the sums' last bits
+    rng = np.random.default_rng(13)
+    vals = rng.random((150, 130)) ** 8
+    for top in (1, 2, 51):
+        labels = rng.integers(0, top + 1, vals.shape)
+        sums, counts = MapPass(vals, SegmentationMask(labels)).class_tally()
+        assert sums.tobytes() == np.bincount(labels.ravel(), vals.ravel()).tobytes()
+        assert counts.tobytes() == np.bincount(labels.ravel()).tobytes()
 
 
 def test_pass_carries_its_mask():
@@ -117,3 +133,32 @@ def test_failed_intermediate_is_not_kept():
     for strat in (bca, qfr):
         with pytest.raises(ShapeMismatch):
             strat(p)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_scoring_pass_peaks_at_few_map_sized_blocks(monkeypatch):
+    # Handed over as aggregate hands over what io.read_npy reads, a 256x256
+    # map and its int64 mask are kept without a copy. Over 8-row strips the
+    # kernels' strip temporaries are small, so the peak counts map-sized
+    # blocks: the sort, the column sums, the two-ring pad (1.03), a spatial
+    # weight map that the mass ratio multiplies by the map in place, and
+    # about 0.4 of Moran's strip temporaries; 4.43 measured. One more
+    # map-sized copy or product array takes it to 5.43.
+    rng = np.random.default_rng(3)
+    vals = np.clip(rng.normal(0.4, 0.15, (256, 256)), 0.0, 1.0)
+    vals[60:160, 50:150] = rng.uniform(0.7, 1.0, (100, 100))
+    labels = (vals > 0.6).astype(np.int64)
+    _strip_rows(vals, 8, monkeypatch)
+    bank = parse_strategy_list(FULL_SET)
+    tracemalloc.start()
+    try:
+        p = MapPass(validate_map(vals, owned=True), as_mask(labels, owned=True))
+        score_map(p, bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.values is vals and p.mask.labels is labels
+    assert peak <= 5.0 * vals.nbytes

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uqagg import spatial
+from uqagg import core, spatial
 from uqagg import (
     WeightMap,
     eds,
@@ -324,6 +324,82 @@ def test_eds_flags_equal_hypot_when_squares_underflow():
         _assert_edges_equal_hypot(padded, float(t))
     _assert_edges_equal_hypot(rng.random((10, 11)) * 1e-160, 1e-150)
     _assert_edges_equal_hypot(rng.random((10, 11)) * 1e-310, 1e-310)
+
+
+def _moran_before(vals):
+    # the Moran weights as first vectorised, over the whole map: every
+    # product summed into a zeroed array, the flags of exactly constant
+    # windows from eight full comparisons, and a safe divisor
+    padded = np.pad(vals, 1, mode="edge")
+    m, n = vals.shape
+    cells = [padded[a : a + m, b : b + n] for a in range(3) for b in range(3)]
+    pairs = [(a, b) for a in range(9) for b in range(a + 1, 9)
+             if max(abs(a // 3 - b // 3), abs(a % 3 - b % 3)) == 1]
+    mean = cells[0].copy()
+    for cell in cells[1:]:
+        mean += cell
+    mean /= 9.0
+    z = [cell - mean for cell in cells]
+    tmp = np.empty_like(mean)
+    denom = np.zeros_like(mean)
+    for zk in z:
+        denom += np.multiply(zk, zk, out=tmp)
+    num = np.zeros_like(mean)
+    for a, b in pairs:
+        num += np.multiply(z[a], z[b], out=tmp)
+    num *= 2.0
+    constant = np.ones(mean.shape, dtype=bool)
+    same = np.empty_like(constant)
+    for cell in cells[1:]:
+        constant &= np.equal(cell, cells[0], out=same)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    moran = (9.0 / 40) * num / safe
+    moran = np.where(constant | (denom <= 0.0), 1.0, moran)
+    return np.clip(moran, 0.0, 1.0)
+
+
+def _two_levels(low, high):
+    # mostly ``low`` with scattered ``high`` pixels: constant windows, windows
+    # a few ulp from constant and windows that differ
+    def make(rng, shape):
+        return np.where(rng.random(shape) < 0.1, high, low)
+    return make
+
+
+def _quarter_blocks(rng, shape):
+    m, n = shape
+    levels = rng.integers(0, 5, (m // 4 + 1, n // 4 + 1)) / 4.0
+    vals = np.kron(levels, np.ones((4, 4)))[:m, :n]
+    spots = rng.random(shape) < 0.02
+    vals[spots] = rng.integers(0, 5, int(spots.sum())) / 4.0
+    return vals
+
+
+_MORAN_MAPS = {
+    # nine copies of 0.7 sum to a mean just off 0.7, so denom is not 0
+    "constant-0.7": lambda rng, shape: np.full(shape, 0.7),
+    "constant": lambda rng, shape: np.full(shape, rng.random()),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+    "quarter-steps": _quarter_blocks,
+    "0.7-and-next": _two_levels(0.7, np.nextafter(0.7, 1.0)),
+    "0-and-5e-324": _two_levels(0.0, 5e-324),
+    "underflowing-squares": _two_levels(1e-160, 3e-160),
+    "noise": lambda rng, shape: rng.random(shape),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MORAN_MAPS))
+def test_moran_weights_bitwise_equal_to_first_kernel(kind, monkeypatch):
+    rng = np.random.default_rng(sorted(_MORAN_MAPS).index(kind))
+    default = core._STRIP_PIXELS
+    for shape in ((1, 1), (2, 2), (7, 5), (150, 130)):
+        vals = _MORAN_MAPS[kind](rng, shape)
+        want = _moran_before(vals).tobytes()
+        for budget in (default, 7 * shape[1]):
+            monkeypatch.setattr(core, "_STRIP_PIXELS", budget)
+            got = spatial_weight_map(vals, "moran").weights
+            assert got.tobytes() == want, (shape, budget)
 
 
 def _int_cast_entropy(vals, bins):
