@@ -70,13 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit the mixture meta-aggregator on reference feature vectors",
     )
     p.add_argument("--features", required=True, help="score table CSV to fit on")
-    p.add_argument("--variant", default="all", choices=[*meta.VARIANTS, "custom"],
-                   help="feature set: " + ", ".join(
+    # --variant defaults to absent, so one given with --strategies is seen
+    # and refused; with neither, the feature set is all.
+    p.add_argument("--variant", default=argparse.SUPPRESS, choices=meta.VARIANTS,
+                   help="named feature set: " + ", ".join(
                        f"{name} ({len(keys)} strategies)"
-                       for name, keys in meta.VARIANTS.items()) + ", or custom")
+                       for name, keys in meta.VARIANTS.items())
+                   + "; default all, unless --strategies is given")
     p.add_argument("--strategies", default=None,
-                   help="comma-separated identifiers (--variant custom only, "
-                   "which requires them)")
+                   help="comma-separated identifiers, instead of --variant")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
                    help="largest component count tried by BIC selection")
     p.add_argument("--seed", type=int, default=0, help="fit seed")
@@ -201,13 +203,12 @@ def _cmd_aggregate(args) -> int:
         notes = []
         for i, row in enumerate(rows):
             u = _load(manifest, row, row.map_path, validate_map)
-            mask = (None if row.mask_path is None
-                    else _load(manifest, row, row.mask_path, as_mask))
+            mask = _load(manifest, row, row.mask_path, as_mask) if needy else None
             try:
                 block[i], row_notes = score_map(MapPass(u, mask), strategies)
             except UqaggError as exc:
                 raise type(exc)(f"sample {row.sample_id!r}, {exc}") from None
-            notes += [f"sample {row.sample_id!r}, {note}" for _, note in row_notes]
+            notes += [f"sample {row.sample_id!r}, {note}" for note in row_notes]
         return block, notes
 
     blocks = _in_slices(score_slice, manifest.rows, args.jobs)
@@ -305,16 +306,15 @@ def _work_in_child(work, items: list, conn) -> None:
 
 
 def _spec_from_args(args) -> FeatureSetSpec:
-    if args.variant in meta.VARIANTS:
-        if args.strategies is not None:
-            raise InvalidParam(
-                f"--variant {args.variant} names a fixed feature set; drop "
-                "--strategies, which only --variant custom takes"
-            )
-        return FeatureSetSpec(args.variant, meta.VARIANTS[args.variant])
-    if not args.strategies:
-        raise InvalidParam("--variant custom needs --strategies")
-    return FeatureSetSpec.custom(args.strategies)
+    variant = getattr(args, "variant", None)
+    if args.strategies is None:
+        return FeatureSetSpec(meta.VARIANTS[variant or "all"])
+    if variant is not None:
+        raise InvalidParam(
+            f"--variant {variant} and --strategies both name a feature set; "
+            "give one of them"
+        )
+    return FeatureSetSpec(args.strategies)
 
 
 def _complete_rows(ids, names, matrix, wanted, note) -> tuple[np.ndarray, np.ndarray]:

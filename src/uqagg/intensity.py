@@ -17,7 +17,6 @@ the strip budget of the spatial kernels.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,40 +121,30 @@ def aqa(u, q: float) -> float:
     return float(p.sorted_values()[total - k :].mean())
 
 
-class ClassAverage(NamedTuple):
-    alpha: float
-    area: int
-
-
-def class_averages(u, mask) -> dict[int, ClassAverage]:
-    """Mean uncertainty and pixel count of each non-background class, by label.
+def _class_means(u, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Mean uncertainty and pixel count of each non-background class, in label
+    order.
 
     Raises ShapeMismatch when map and mask shapes differ and NoForeground
     when every pixel carries the background label 0.
     """
     sums, counts = as_pass(u, mask).class_tally()
-    per_class: dict[int, ClassAverage] = {}
-    for c in np.flatnonzero(counts[1:]) + 1:
-        per_class[int(c)] = ClassAverage(float(sums[c] / counts[c]), int(counts[c]))
-    if not per_class:
+    fg = np.flatnonzero(counts[1:]) + 1
+    if not fg.size:
         raise NoForeground("mask contains only background pixels")
-    return per_class
+    return sums[fg] / counts[fg], counts[fg]
 
 
 def bca(u, mask) -> float:
     """Mean of the per-class averages with equal class weights."""
-    per_class = class_averages(u, mask)
-    weight = 1.0 / len(per_class)
-    return float(math.fsum(weight * stat.alpha for stat in per_class.values()))
+    alpha, _ = _class_means(u, mask)
+    return math.fsum((1.0 / len(alpha)) * alpha)
 
 
 def ica(u, mask) -> float:
     """Area-proportional combination of the per-class averages."""
-    per_class = class_averages(u, mask)
-    total_area = sum(stat.area for stat in per_class.values())
-    return float(
-        math.fsum((stat.area / total_area) * stat.alpha for stat in per_class.values())
-    )
+    alpha, area = _class_means(u, mask)
+    return math.fsum((area / area.sum()) * alpha)
 
 
 def qfr(u, mask) -> float:

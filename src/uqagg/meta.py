@@ -19,7 +19,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (
     ParseError,
     SingularCovariance,
     TooFewSamples,
+    UqaggError,
 )
 from .io import _fmt_float, read_json
 from .rng import stream
@@ -58,42 +58,30 @@ VARIANTS = {"all": FULL_SET, "int": INTENSITY_SET, "spa": SPATIAL_SET}
 
 @dataclass(frozen=True)
 class FeatureSetSpec:
-    """Named selection of strategy identifiers.
+    """Selection of strategy identifiers, named by its keys.
 
     ``strategies`` is anything :func:`~uqagg.strategies.parse_strategy_list`
     takes, a comma-separated string or a sequence of identifiers, and is
     stored as the tuple of their canonical keys in the given order
     (``eds:0.2`` becomes ``eds``). A key listed twice raises
-    DuplicateStrategy. A ``variant`` that names a set of ``VARIANTS`` must
-    list that set's strategies, in any order, or InvalidParam is raised.
+    DuplicateStrategy.
     """
 
-    variant: str
     strategies: tuple[str, ...]
 
     def __post_init__(self):
         if not self.strategies:
             raise EmptyFeatureSet("feature set needs at least one strategy")
         keys = tuple(s.key for s in parse_strategy_list(self.strategies))
-        named = VARIANTS.get(self.variant)
-        if named is not None and set(keys) != set(named):
-            raise InvalidParam(
-                f"feature set {self.variant!r} is the {len(named)} strategies "
-                f"{','.join(named)}; name any other set 'custom'"
-            )
         object.__setattr__(self, "strategies", keys)
 
-    @classmethod
-    def all(cls) -> "FeatureSetSpec":
-        return cls("all", VARIANTS["all"])
-
-    @classmethod
-    def spatial_only(cls) -> "FeatureSetSpec":
-        return cls("spa", VARIANTS["spa"])
-
-    @classmethod
-    def custom(cls, strategies: str | Sequence[str]) -> "FeatureSetSpec":
-        return cls("custom", strategies)
+    @property
+    def variant(self) -> str:
+        """The ``VARIANTS`` name whose set the keys are, in any order, else
+        ``"custom"``."""
+        keys = set(self.strategies)
+        return next((name for name, named in VARIANTS.items() if set(named) == keys),
+                    "custom")
 
 
 def epsilon_rescale(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -486,10 +474,8 @@ def _model_from_doc(doc) -> GmmModel:
     if doc.get("version") != _MODEL_VERSION:
         raise ParseError(f"unsupported model version {doc.get('version')!r}")
     try:
-        spec = FeatureSetSpec(
-            doc["feature_spec"]["variant"],
-            tuple(doc["feature_spec"]["strategies"]),
-        )
+        stored = doc["feature_spec"]["variant"]
+        spec = FeatureSetSpec(tuple(doc["feature_spec"]["strategies"]))
         k = int(doc["K"])
         model = GmmModel(
             feature_spec=spec,
@@ -506,8 +492,13 @@ def _model_from_doc(doc) -> GmmModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model JSON is missing or mistypes a field: {exc}") from None
-    except InvalidParam as exc:
-        raise ParseError(f"model JSON field 'feature_spec': {exc}") from None
+    except UqaggError as exc:  # a strategy key FeatureSetSpec refuses
+        raise type(exc)(f"model JSON field 'feature_spec': {exc}") from None
+    if stored != spec.variant:
+        raise ParseError(
+            f"model JSON field 'feature_spec': variant {stored!r}, but its "
+            f"strategies are named {spec.variant!r}"
+        )
     d = model.d
     if model.means.shape != (k, d) or model.covariances.shape != (k, d, d) or (
         model.weights.shape != (k,) or model.feat_std.shape != (d,)

@@ -145,17 +145,17 @@ def parse_strategy_list(spec: str | Sequence[str]) -> list[Strategy]:
 
 
 def score_map(p: MapPass, strategies: Sequence[Strategy]
-              ) -> tuple[np.ndarray, list[tuple[str, Exception]]]:
+              ) -> tuple[np.ndarray, list[Exception]]:
     """Score one map pass with every strategy, in order.
 
-    Returns the row of scores and its notes, ``(key, note)`` pairs in
-    strategy order. Every note and every error from a strategy is re-made as
-    the same type with its message prefixed by ``strategy '<key>': ``. A
-    NoForeground leaves the strategy's cell NaN and is a note; so is each
-    warning the strategy raises (e.g. a RuntimeWarning for the mass ratio of
-    an all-zero map), which is recorded, not shown. Any other UqaggError is
-    raised. The recording swaps the process-wide warning state, so two
-    threads must not call this at once.
+    Returns the row of scores and its notes, in strategy order. Every note
+    and every error from a strategy is re-made as the same type with its
+    message prefixed by ``strategy '<key>': ``. A NoForeground leaves the
+    strategy's cell NaN and is a note; so is each warning the strategy
+    raises (e.g. a RuntimeWarning for the mass ratio of an all-zero map),
+    which is recorded, not shown. Any other UqaggError is raised. The
+    recording swaps the process-wide warning state, so two threads must not
+    call this at once.
     """
     row = np.empty(len(strategies))
     notes = []
@@ -170,8 +170,8 @@ def score_map(p: MapPass, strategies: Sequence[Strategy]
                 if not isinstance(exc, NoForeground):
                     raise named from exc
                 row[j] = math.nan
-                notes.append((strat.key, named))
-            notes += [(strat.key, w.category(f"strategy {strat.key!r}: {w.message}"))
+                notes.append(named)
+            notes += [w.category(f"strategy {strat.key!r}: {w.message}")
                       for w in caught[seen:]]
     return row, notes
 
@@ -198,10 +198,10 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
     rows = np.empty((len(maps), len(strategies)), dtype=np.float64)
     for i, (u, m) in enumerate(zip(maps, masks)):
         rows[i], notes = score_map(MapPass(u, m), strategies)
-        for _, note in notes:
+        for note in notes:
             if isinstance(note, Warning):
                 warnings.warn(note, stacklevel=2)
-        for _, note in notes:
+        for note in notes:
             if isinstance(note, UqaggError):
                 raise note
     return FeatureMatrix(tuple(s.key for s in strategies), rows)

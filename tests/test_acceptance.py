@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from uqagg import (
+    FULL_SET,
+    SPATIAL_SET,
     FeatureSetSpec,
     SegmentationMask,
     SynthSpec,
@@ -270,7 +272,7 @@ def test_criterion_6_joint_feature_separation():
         for i in range(60)
     ]
 
-    spec = FeatureSetSpec.spatial_only()
+    spec = FeatureSetSpec(SPATIAL_SET)
     strategies = parse_strategy_list(list(spec.strategies))
     feats_train = compute_features(train, strategies)
     feats_held = compute_features(held, strategies)
@@ -393,7 +395,7 @@ def test_criterion_8_determinism_and_formats(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
     maps = [UncertaintyMap(rng.random((8, 8))) for _ in range(20)]
-    spec = FeatureSetSpec.custom(["avg", "ent"])
+    spec = FeatureSetSpec(["avg", "ent"])
     feats = compute_features(maps, parse_strategy_list(list(spec.strategies)))
     model = fit_meta(feats, spec, k_max=2, seed=1)
     text = model_to_json(model)
@@ -440,7 +442,7 @@ def test_criterion_9_gradual_shift_raises_surprise():
     )
     benches = gen_benchmark(40, 25, iid_spec, ood_spec, perturb_ladder=ladder,
                             seed=0, match_means=True, with_masks=True)
-    spec = FeatureSetSpec.all()
+    spec = FeatureSetSpec(FULL_SET)
     strategies = parse_strategy_list(list(spec.strategies))
     in_dist = [s for s in benches[0].samples if s.ood_label == 0]
     feats_fit = compute_features(

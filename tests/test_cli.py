@@ -123,7 +123,7 @@ def scores_csv(bench_dir, tmp_path_factory):
 def test_gmm_fit_score_eval_rank(bench_dir, scores_csv, tmp_path):
     model = tmp_path / "model.json"
     res = run_cli(
-        "gmm-fit", "--features", str(scores_csv), "--variant", "custom",
+        "gmm-fit", "--features", str(scores_csv),
         "--strategies", "avg,mor,eds,ent", "--k-max", "3", "--seed", "0",
         "--out", str(model),
     )
@@ -242,12 +242,6 @@ def test_exit_code_data(bench_dir, tmp_path):
     )
     assert res.returncode == 4
 
-    res = run_cli(
-        "gmm-fit", "--features", str(bench_dir / "manifest.csv"),
-        "--variant", "custom", "--out", str(tmp_path / "m.json"),
-    )
-    assert res.returncode == 4  # custom without --strategies
-
 
 def test_aggregate_mask_required_without_masks(tmp_path):
     write_npy(tmp_path / "u.npy", np.full((8, 8), 0.5))
@@ -290,6 +284,39 @@ def test_aggregate_invalid_map_or_mask_names_sample_and_file(tmp_path):
         assert not out.exists()
 
 
+def test_aggregate_reads_masks_only_for_strategies_that_need_them(tmp_path):
+    rng = np.random.default_rng(3)
+    for name in ("a", "b"):
+        write_npy(tmp_path / f"{name}.npy", rng.random((8, 8)))
+    write_npy(tmp_path / "mask.npy", np.ones((8, 8), dtype=np.int64))
+    (tmp_path / "corrupt.npy").write_bytes(b"not an array")
+    write_manifest(tmp_path / "masked.csv", [
+        ManifestRow("a", "a.npy", "mask.npy", None, None),
+        ManifestRow("b", "b.npy", "corrupt.npy", None, None),
+    ])
+    write_manifest(tmp_path / "bare.csv", [
+        ManifestRow("a", "a.npy", None, None, None),
+        ManifestRow("b", "b.npy", None, None, None),
+    ])
+    for manifest in ("masked", "bare"):
+        res = run_cli(
+            "aggregate", "--manifest", str(tmp_path / f"{manifest}.csv"),
+            "--strategies", "avg,mor",
+            "--out", str(tmp_path / f"{manifest}.scores.csv"),
+        )
+        assert (res.returncode, _warnings(res.stderr)) == (0, []), res.stderr
+    assert (tmp_path / "masked.scores.csv").read_bytes() == (
+        tmp_path / "bare.scores.csv").read_bytes()
+
+    res = run_cli(
+        "aggregate", "--manifest", str(tmp_path / "masked.csv"),
+        "--strategies", "avg,bca", "--out", str(tmp_path / "s.csv"),
+    )
+    assert res.returncode == 4
+    assert "'b'" in res.stderr and str(tmp_path / "corrupt.npy") in res.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_aggregate_no_foreground_warns_and_leaves_cell_empty(tmp_path):
     write_npy(tmp_path / "u.npy", np.full((8, 8), 0.5))
     write_npy(tmp_path / "empty_mask.npy", np.zeros((8, 8), dtype=np.int64))
@@ -308,10 +335,44 @@ def test_aggregate_no_foreground_warns_and_leaves_cell_empty(tmp_path):
     assert rows[1][1] != "" and rows[1][2] == ""
 
 
+def test_gmm_fit_names_the_feature_set_by_its_keys(scores_csv, tmp_path):
+    model = tmp_path / "spa.json"
+    res = run_cli("gmm-fit", "--features", str(scores_csv), "--strategies",
+                  "ent,mor,eds", "--k-max", "2", "--out", str(model))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("fitted spa (3 features)")
+    assert json.loads(model.read_text())["feature_spec"] == {
+        "variant": "spa", "strategies": ["ent", "mor", "eds"]}
+    scored = tmp_path / "scored.csv"
+    res = run_cli("gmm-score", "--model", str(model), "--features", str(scores_csv),
+                  "--out", str(scored))
+    assert res.returncode == 0, res.stderr
+    assert _read_rows(scored)[0][-1] == "gmm:spa"
+
+    model = tmp_path / "custom.json"
+    res = run_cli("gmm-fit", "--features", str(scores_csv), "--strategies", "avg,mor",
+                  "--k-max", "2", "--out", str(model))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(model.read_text())["feature_spec"]["variant"] == "custom"
+
+    # With neither option the set is all, which this table only partly holds.
+    res = run_cli("gmm-fit", "--features", str(scores_csv), "--out",
+                  str(tmp_path / "all.json"))
+    missing = [k for k in FULL_SET if k not in _read_rows(scores_csv)[0]]
+    assert (res.returncode, res.stderr) == (
+        4, f"error: score table lacks strategy columns {missing}\n")
+
+    # --variant names a fixed set only
+    res = run_cli("gmm-fit", "--features", str(scores_csv), "--variant", "custom",
+                  "--strategies", "avg,mor", "--out", str(tmp_path / "m.json"))
+    assert res.returncode == 2
+    assert not (tmp_path / "all.json").exists() and not (tmp_path / "m.json").exists()
+
+
 def test_gmm_score_refuses_column_collision(bench_dir, scores_csv, tmp_path):
     model = tmp_path / "model.json"
     res = run_cli(
-        "gmm-fit", "--features", str(scores_csv), "--variant", "custom",
+        "gmm-fit", "--features", str(scores_csv),
         "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
     )
     assert res.returncode == 0, res.stderr
@@ -430,8 +491,8 @@ def test_eval_fd_without_risk_exits_4(tmp_path):
 def test_gmm_fit_skips_incomplete_rows(tmp_path):
     _table_with_gaps(tmp_path)
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "avg,mor", "--k-max", "2",
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "avg,mor", "--k-max", "2",
         "--out", str(tmp_path / "model.json"),
     )
     assert res.returncode == 0, res.stderr
@@ -443,8 +504,8 @@ def test_gmm_fit_skips_incomplete_rows(tmp_path):
 
     # A row whose only empty cell lies outside the features is fitted.
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "avg", "--k-max", "2",
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "avg", "--k-max", "2",
         "--out", str(tmp_path / "model_avg.json"),
     )
     assert res.returncode == 0, res.stderr
@@ -455,8 +516,8 @@ def test_gmm_score_leaves_incomplete_rows_empty_and_warns(tmp_path):
     ids, _ = _table_with_gaps(tmp_path)
     model = tmp_path / "model.json"
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "mor", "--k-max", "2", "--out", str(model),
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "mor", "--k-max", "2", "--out", str(model),
     )
     assert res.returncode == 0, res.stderr
     res = run_cli(
@@ -475,8 +536,8 @@ def test_gmm_score_leaves_incomplete_rows_empty_and_warns(tmp_path):
 def test_missing_feature_column_exits_4_and_names_it(tmp_path):
     _table_with_gaps(tmp_path, gaps=())
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "avg,eds", "--out", str(tmp_path / "m.json"),
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "avg,eds", "--out", str(tmp_path / "m.json"),
     )
     assert res.returncode == 4
     assert "'eds'" in res.stderr
@@ -484,8 +545,8 @@ def test_missing_feature_column_exits_4_and_names_it(tmp_path):
 
     model = tmp_path / "model.json"
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
     )
     assert res.returncode == 0, res.stderr
     ids, names, matrix = read_scores(tmp_path / "scores.csv")
@@ -511,16 +572,16 @@ def test_gmm_score_refuses_what_gmm_fit_refuses(tmp_path, edit, words):
     ids, values = _table_with_gaps(tmp_path, gaps=())
     model = tmp_path / "model.json"
     res = run_cli(
-        "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-        "custom", "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
+        "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+        "--strategies", "avg,mor", "--k-max", "2", "--out", str(model),
     )
     assert res.returncode == 0, res.stderr
     if "cell" in edit:
         values[3, 1] = edit["cell"]
         write_scores(tmp_path / "scores.csv", ids, ["avg", "mor"], values)
         res = run_cli(
-            "gmm-fit", "--features", str(tmp_path / "scores.csv"), "--variant",
-            "custom", "--strategies", "avg,mor", "--out", str(tmp_path / "m2.json"),
+            "gmm-fit", "--features", str(tmp_path / "scores.csv"),
+            "--strategies", "avg,mor", "--out", str(tmp_path / "m2.json"),
         )
         assert (res.returncode, res.stderr) == (4, f"error: {words}\n")
     else:
@@ -708,10 +769,19 @@ _MODELS = {
     "model-pi-negative": ({"K": 2, "pi": [1.5, -0.5], "mu": [[0.0, 0.0]] * 2,
                            "sigma": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
                           "model JSON field 'pi' must be non-negative"),
-    # a named variant with other strategies would score into a misnamed column
+    # a stored name other than the one its keys give would score into a
+    # misnamed column
     "model-variant-int-other-strategies": (
         {"feature_spec": {"variant": "int", "strategies": ["mor", "eds", "ent"]}},
-        "model JSON field 'feature_spec': feature set 'int' is the 13 strategies"),
+        "model JSON field 'feature_spec': variant 'int', but its strategies are "
+        "named 'spa'"),
+    "model-unknown-strategy": (
+        {"feature_spec": {"variant": "custom", "strategies": ["avg", "nope"]}},
+        "model JSON field 'feature_spec': unknown strategy 'nope'"),
+    "model-custom-named-set": (
+        {"feature_spec": {"variant": "custom", "strategies": ["mor", "eds", "ent"]}},
+        "model JSON field 'feature_spec': variant 'custom', but its strategies are "
+        "named 'spa'"),
 }
 # Each case: its command line and the start of its error message.
 _MALFORMED = {
@@ -723,7 +793,7 @@ _MALFORMED = {
          "--task", "ood", "--bootstrap", "5", "--out-prefix", "{d}/out"],
         "{d}/latin1.csv: 'utf-8' codec can't decode"),
     "scores-not-utf8-gmm-fit": (
-        ["gmm-fit", "--features", "{d}/latin1_scores.csv", "--variant", "custom",
+        ["gmm-fit", "--features", "{d}/latin1_scores.csv",
          "--strategies", "avg", "--out", "{d}/out.json"],
         "{d}/latin1_scores.csv: 'utf-8' codec can't decode"),
     "samples-not-utf8-rank": (
@@ -753,8 +823,8 @@ _MALFORMED = {
     **{f"gmm-fit-{variant}-with-strategies": (
         ["gmm-fit", "--features", "{d}/pair.csv", "--variant", variant,
          "--strategies", "avg,mor", "--out", "{d}/out.csv"],
-        f"--variant {variant} names a fixed feature set; drop --strategies, which "
-        "only --variant custom takes") for variant in ("all", "int", "spa")},
+        f"--variant {variant} and --strategies both name a feature set; give one "
+        "of them") for variant in ("all", "int", "spa")},
     "spec-with-default-seed": (
         ["synth", "--spec", "{d}/spec.json", "--out-dir", "{d}/out", "--seed", "0"],
         "--spec sets every benchmark value from its file; drop --seed, which only "

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,3 +155,32 @@ def test_all_lists_every_public_name():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(uqagg.__all__) == sorted(bound)
     assert len(uqagg.__all__) == len(set(uqagg.__all__))
+
+
+# Public names whose only callers are tests, each with why it is kept.
+_KEPT_WITHOUT_CALLER = {
+    "entropy_uncertainty": "the uncertainty map of the segmentation-risk "
+                           "suite's probability stacks, still to be built",
+    "spatial_weight_map": "the brute-force oracle of the spatial kernels",
+}
+
+
+def test_every_public_name_has_a_caller_outside_its_tests():
+    import uqagg
+
+    root = Path(__file__).resolve().parents[1]
+    texts = [(root / "README.md").read_text(encoding="utf-8"),
+             (root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    texts += [p.read_text(encoding="utf-8")
+              for p in sorted((root / "perfbench").glob("*.py"))]
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted((root / "src" / "uqagg").glob("*.py"))
+               if p.name != "__init__.py"]
+    uncalled = []
+    for name in uqagg.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own_line = re.compile(rf"^(?:def|class) {re.escape(name)}\b.*$", re.M)
+        if not any(word.search(t) for t in texts) and not any(
+                word.search(own_line.sub("", t)) for t in sources):
+            uncalled.append(name)
+    assert sorted(uncalled) == sorted(_KEPT_WITHOUT_CALLER)

@@ -13,7 +13,6 @@ from uqagg import (
     ata,
     avg,
     bca,
-    class_averages,
     ica,
     plm,
     qfr,
@@ -255,19 +254,13 @@ def _two_class_fixture():
     return u, mask
 
 
-def test_class_averages_fixture():
-    u, mask = _two_class_fixture()
-    per = class_averages(u, mask)
-    assert set(per) == {1, 2}
-    assert per[1].alpha == pytest.approx(0.2, abs=1e-12)
-    assert per[1].area == 3
-    assert per[2].alpha == pytest.approx(0.8, abs=1e-12)
-    assert per[2].area == 1
-
-
 def test_bca_equal_weights():
     u, mask = _two_class_fixture()
     assert bca(u, mask) == pytest.approx(0.5, abs=1e-12)
+    # one class alone is its own mean, whatever its area
+    assert bca(u, SegmentationMask(np.array([[1, 1], [1, 0]]))) == pytest.approx(
+        0.2, abs=1e-12)
+    assert bca(u, SegmentationMask(np.array([[0, 0], [0, 2]]))) == 0.8
 
 
 def test_ica_area_weights_frozen():

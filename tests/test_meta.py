@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -192,7 +193,7 @@ def test_em_iterations_and_selected_k_frozen():
     x = np.vstack([np.clip(c + 0.06 * rng.normal(size=(60, 4)), 0, 1) for c in centers])
     z = (x - x.mean(axis=0)) / x.std(axis=0)
     assert [em_fit(z, k, seed=3).n_iter for k in range(1, 6)] == [3, 11, 7, 25, 19]
-    spec = FeatureSetSpec.custom(["avg", "mor", "eds", "ent"])
+    spec = FeatureSetSpec(["avg", "mor", "eds", "ent"])
     assert fit_meta(x, spec, k_max=5, seed=3).k == 3
 
 
@@ -259,7 +260,7 @@ def test_fit_meta_selects_two_clusters():
     a = np.clip(rng.normal(0.25, 0.03, size=(150, 2)), 0, 1)
     b = np.clip(rng.normal(0.75, 0.03, size=(150, 2)), 0, 1)
     x = np.vstack([a, b])
-    spec = FeatureSetSpec.custom(["avg", "mor"])
+    spec = FeatureSetSpec(["avg", "mor"])
     model = fit_meta(x, spec, k_max=5, seed=0)
     assert model.k == 2
     # component means live in standardized space; map them back
@@ -274,14 +275,14 @@ def test_fit_meta_selects_two_clusters():
 def test_fit_meta_single_gaussian_prefers_k1():
     rng = np.random.default_rng(13)
     x = np.clip(rng.normal(0.5, 0.05, size=(300, 3)), 0, 1)
-    model = fit_meta(x, FeatureSetSpec.custom(["avg", "mor", "ent"]), k_max=4, seed=0)
+    model = fit_meta(x, FeatureSetSpec(["avg", "mor", "ent"]), k_max=4, seed=0)
     assert model.k == 1
 
 
 def test_fit_meta_accepts_feature_matrix_any_column_order():
     rng = np.random.default_rng(17)
     x = rng.random((60, 2))
-    spec = FeatureSetSpec.custom(["avg", "mor"])
+    spec = FeatureSetSpec(["avg", "mor"])
     direct = fit_meta(x, spec, k_max=2, seed=3)
     swapped = FeatureMatrix(("mor", "avg"), x[:, ::-1])
     via_matrix = fit_meta(swapped, spec, k_max=2, seed=3)
@@ -296,7 +297,7 @@ def test_fit_meta_accepts_feature_matrix_any_column_order():
 def _unit_model(epsilon=0.25):
     # one standard-normal component; feat_std chosen so x=1.0 lands at z=3
     return GmmModel(
-        feature_spec=FeatureSetSpec.custom(["avg"]),
+        feature_spec=FeatureSetSpec(["avg"]),
         epsilon=epsilon,
         feat_mean=np.array([0.5]),
         feat_std=np.array([(1.0 - 2.0 * epsilon) / 6.0]),
@@ -324,7 +325,7 @@ def test_meta_score_standard_normal_anchors():
 def test_meta_score_name_matching_ignores_order():
     rng = np.random.default_rng(19)
     x = np.clip(rng.random((40, 2)), 0, 1)
-    model = fit_meta(x, FeatureSetSpec.custom(["avg", "mor"]), k_max=2, seed=0)
+    model = fit_meta(x, FeatureSetSpec(["avg", "mor"]), k_max=2, seed=0)
     row = FeatureMatrix(("mor", "avg"), np.array([[0.7, 0.2]]))
     direct = meta_score(model, np.array([0.2, 0.7]))
     assert meta_score_matrix(model, row)[0] == pytest.approx(direct, rel=1e-15)
@@ -335,7 +336,7 @@ def test_meta_score_name_matching_ignores_order():
 def test_meta_score_matrix_matches_rowwise():
     rng = np.random.default_rng(23)
     x = np.clip(rng.random((50, 2)), 0, 1)
-    model = fit_meta(x, FeatureSetSpec.custom(["avg", "mor"]), k_max=3, seed=1)
+    model = fit_meta(x, FeatureSetSpec(["avg", "mor"]), k_max=3, seed=1)
     queries = np.clip(rng.random((7, 2)), 0, 1)
     batch = meta_score_matrix(model, queries)
     singles = [meta_score(model, q) for q in queries]
@@ -346,7 +347,7 @@ def test_meta_score_mixture_weights_enter_likelihood():
     # two far-apart unit components: near one of them the density is half a
     # standard normal, so the NLL gains exactly ln 2
     model = GmmModel(
-        feature_spec=FeatureSetSpec.custom(["avg"]),
+        feature_spec=FeatureSetSpec(["avg"]),
         epsilon=0.25,
         feat_mean=np.array([0.5]),
         feat_std=np.array([1.0 / 12.0]),
@@ -368,21 +369,21 @@ def test_meta_score_mixture_weights_enter_likelihood():
 
 
 def test_feature_set_spec_variants():
-    assert len(FeatureSetSpec.all().strategies) == 16
-    assert len(FeatureSetSpec("int", VARIANTS["int"]).strategies) == 13
-    assert FeatureSetSpec.spatial_only().strategies == ("mor", "eds", "ent")
+    assert len(FeatureSetSpec(VARIANTS["all"]).strategies) == 16
+    assert len(FeatureSetSpec(VARIANTS["int"]).strategies) == 13
+    assert FeatureSetSpec(VARIANTS["spa"]).strategies == ("mor", "eds", "ent")
     with pytest.raises(UnknownStrategy):
-        FeatureSetSpec.custom(["avg", "nope"])
+        FeatureSetSpec(["avg", "nope"])
     with pytest.raises(InvalidParam):
-        FeatureSetSpec.custom(["gmm:model.json"])  # no nesting
+        FeatureSetSpec(["gmm:model.json"])  # no nesting
     with pytest.raises(EmptyFeatureSet):
-        FeatureSetSpec.custom([])
+        FeatureSetSpec([])
 
 
 def test_feature_set_spec_stores_canonical_keys():
-    spec = FeatureSetSpec.custom(["eds:0.2", "avg"])
+    spec = FeatureSetSpec(["eds:0.2", "avg"])
     assert spec.strategies == ("eds", "avg")
-    assert FeatureSetSpec.custom("ent:4, ata:.50").strategies == ("ent", "ata:0.5")
+    assert FeatureSetSpec("ent:4, ata:.50").strategies == ("ent", "ata:0.5")
     # The spec's keys are the column names compute_features writes.
     rng = np.random.default_rng(29)
     maps = [rng.random((16, 16)) for _ in range(12)]
@@ -395,23 +396,25 @@ def test_feature_set_spec_stores_canonical_keys():
 
 
 def test_feature_set_spec_named_variant_holds_its_set():
-    # a named variant is its fixed set, in any order; anything else is custom
+    # the name is the named set the keys are, in any order; anything else is
+    # custom
     for name, keys in VARIANTS.items():
-        assert set(FeatureSetSpec(name, keys[::-1]).strategies) == set(keys)
-        with pytest.raises(InvalidParam, match=f"feature set '{name}' is the"):
-            FeatureSetSpec(name, keys[:-1])
-    with pytest.raises(InvalidParam):
-        FeatureSetSpec("all", ["avg"])
-    with pytest.raises(InvalidParam):
-        FeatureSetSpec("int", ["mor", "eds", "ent"])
-    assert FeatureSetSpec.custom(VARIANTS["spa"]).variant == "custom"
+        assert FeatureSetSpec(keys[::-1]).variant == name
+        assert FeatureSetSpec(keys[:-1]).variant == "custom"
+    assert FeatureSetSpec("ent, eds:0.2, mor").variant == "spa"
+    assert FeatureSetSpec(["avg"]).variant == "custom"
+    assert FeatureSetSpec(["mor", "eds", "ent", "avg"]).variant == "custom"
+
+
+def test_feature_set_spec_has_one_field():
+    assert [f.name for f in dataclasses.fields(FeatureSetSpec)] == ["strategies"]
 
 
 def test_feature_set_spec_refuses_a_key_twice():
     with pytest.raises(DuplicateStrategy):
-        FeatureSetSpec.custom(["avg", "avg"])
+        FeatureSetSpec(["avg", "avg"])
     with pytest.raises(DuplicateStrategy):
-        FeatureSetSpec.custom(["eds", "eds:0.2"])  # one canonical key
+        FeatureSetSpec(["eds", "eds:0.2"])  # one canonical key
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +424,7 @@ def test_feature_set_spec_refuses_a_key_twice():
 def _small_model(seed=0):
     rng = np.random.default_rng(seed)
     x = np.clip(rng.random((40, 2)), 0, 1)
-    return fit_meta(x, FeatureSetSpec.custom(["avg", "mor"]), k_max=2, seed=seed)
+    return fit_meta(x, FeatureSetSpec(["avg", "mor"]), k_max=2, seed=seed)
 
 
 def test_model_json_round_trip_is_byte_stable():
