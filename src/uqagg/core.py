@@ -296,25 +296,3 @@ def entropy_uncertainty(stack) -> UncertaintyMap:
         terms = np.where(mean_p > 0.0, mean_p * np.log(mean_p), 0.0)
     ent = -terms.sum(axis=0) / np.log(k)
     return UncertaintyMap(np.clip(ent, 0.0, 1.0))
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Named 2-D matrix of aggregated scores, one row per sample."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ShapeMismatch(f"feature matrix must be 2-D, got ndim={vals.ndim}")
-        if len(names) != vals.shape[1]:
-            raise ShapeMismatch(
-                f"{len(names)} names for {vals.shape[1]} columns"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", vals)

@@ -11,6 +11,9 @@ interval edges by an affine epsilon-rescale, then standardized with the
 population mean and standard deviation recorded at fit time. The number of
 components is selected by BIC over K = 1..K_max. Fitting is deterministic
 given (data, seed, K_max, EM parameters).
+
+A feature matrix is a plain ``(n, d)`` array whose column j holds the
+feature set's key j; the CLI matches score-table columns to keys by name.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMatrix
 from .errors import (
     EmptyFeatureSet,
     FeatureMismatch,
@@ -191,10 +193,10 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return x[chosen].copy()
 
 
-def _em_once(x, k, rng, max_iter, tol, ridge) -> EmResult:
+def _em_once(x, k, rng, max_iter, tol) -> EmResult:
     n, d = x.shape
-    eye = np.eye(d)
-    base_cov = np.cov(x, rowvar=False, ddof=0).reshape(d, d) + ridge * eye
+    load = DEFAULT_RIDGE * np.eye(d)  # diagonal load of every covariance
+    base_cov = np.cov(x, rowvar=False, ddof=0).reshape(d, d) + load
     means = _kmeanspp_means(x, k, rng)
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
@@ -240,21 +242,21 @@ def _em_once(x, k, rng, max_iter, tol, ridge) -> EmResult:
                 continue
             mu = resp[:, j] @ x / nk[j]
             diff = x - mu
-            cov = (resp[:, j, None] * diff).T @ diff / nk[j] + ridge * eye
+            cov = (resp[:, j, None] * diff).T @ diff / nk[j] + load
             means[j] = mu
             covs[j] = cov
 
     return EmResult(weights, means, covs, ll, tuple(history), len(history), converged)
 
 
-def em_fit(values, k: int, *, seed: int = 0, restarts: int = DEFAULT_RESTARTS,
-           max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-           ridge: float = DEFAULT_RIDGE) -> EmResult:
+def em_fit(values, k: int, *, seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
+           tol: float = DEFAULT_TOL) -> EmResult:
     """Fit a K-component full-covariance Gaussian mixture by EM.
 
-    Runs ``restarts`` independent fits seeded from (seed, restart index) with
-    k-means++-style initial means and returns the one with the highest final
-    log-likelihood (earliest restart wins ties). The per-iteration
+    Runs ``DEFAULT_RESTARTS`` independent fits seeded from (seed, restart
+    index) with k-means++-style initial means and returns the one with the
+    highest final log-likelihood (earliest restart wins ties). Every
+    covariance carries a ``DEFAULT_RIDGE`` diagonal load. The per-iteration
     log-likelihood is checked to be non-decreasing up to a small slack.
     """
     x = np.asarray(values, dtype=np.float64)
@@ -266,12 +268,14 @@ def em_fit(values, k: int, *, seed: int = 0, restarts: int = DEFAULT_RESTARTS,
         raise InvalidParam(f"component count must be a positive integer, got {k!r}")
     if x.shape[0] < k:
         raise TooFewSamples(f"{x.shape[0]} samples cannot support K={k}")
-    if restarts < 1 or max_iter < 1 or tol <= 0.0 or ridge < 0.0:
-        raise InvalidParam("restarts >= 1, max_iter >= 1, tol > 0, ridge >= 0")
+    if max_iter < 1:
+        raise InvalidParam(f"max_iter must be at least 1, got {max_iter!r}")
+    if not tol > 0.0:  # NaN fails too
+        raise InvalidParam(f"tol must be positive, got {tol!r}")
 
     best = None
-    for r in range(restarts):
-        result = _em_once(x, k, stream(seed, _LANE_RESTART, r), max_iter, tol, ridge)
+    for r in range(DEFAULT_RESTARTS):
+        result = _em_once(x, k, stream(seed, _LANE_RESTART, r), max_iter, tol)
         if best is None or result.loglik > best.loglik:
             best = result
     return best
@@ -315,13 +319,12 @@ class GmmModel:
 
 
 def fit_meta(features, spec: FeatureSetSpec, *, k_max: int = DEFAULT_K_MAX,
-             seed: int = 0, epsilon: float = DEFAULT_EPSILON,
-             restarts: int = DEFAULT_RESTARTS, max_iter: int = DEFAULT_MAX_ITER,
-             tol: float = DEFAULT_TOL, ridge: float = DEFAULT_RIDGE) -> GmmModel:
+             seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
+             tol: float = DEFAULT_TOL) -> GmmModel:
     """Fit the meta-aggregator on reference feature vectors.
 
-    ``features`` is a FeatureMatrix (columns matched to ``spec`` by name) or a
-    plain (n, d) array already in spec order, with values in [0, 1]. Candidate
+    ``features`` is an (n, d) array in the order of ``spec.strategies``, with
+    values in [0, 1], which are rescaled with ``DEFAULT_EPSILON``. Candidate
     mixtures with K = 1..K_max components are fitted and the lowest BIC wins
     (smallest K on ties).
     """
@@ -331,22 +334,21 @@ def fit_meta(features, spec: FeatureSetSpec, *, k_max: int = DEFAULT_K_MAX,
     if k_max < 1:
         raise InvalidParam(f"k_max must be >= 1, got {k_max}")
 
-    rescaled = epsilon_rescale(x, epsilon)
+    rescaled = epsilon_rescale(x, DEFAULT_EPSILON)
     mean, std = standardize_fit(rescaled)
     z = standardize_apply(rescaled, mean, std)
 
     n, d = z.shape
     best = None
     for k in range(1, min(k_max, n) + 1):
-        result = em_fit(z, k, seed=seed, restarts=restarts, max_iter=max_iter,
-                        tol=tol, ridge=ridge)
+        result = em_fit(z, k, seed=seed, max_iter=max_iter, tol=tol)
         score = bic(result.loglik, k, d, n)
         if best is None or score < best[0]:
             best = (score, result)
     score, result = best
     return GmmModel(
         feature_spec=spec,
-        epsilon=float(epsilon),
+        epsilon=DEFAULT_EPSILON,
         feat_mean=mean,
         feat_std=std,
         weights=result.weights,
@@ -360,40 +362,25 @@ def fit_meta(features, spec: FeatureSetSpec, *, k_max: int = DEFAULT_K_MAX,
 
 
 def _match_matrix(features, spec: FeatureSetSpec) -> np.ndarray:
-    if isinstance(features, FeatureMatrix):
-        missing = [s for s in spec.strategies if s not in features.names]
-        if missing:
-            raise FeatureMismatch(f"feature matrix lacks columns {missing}")
-        # A column gather can come out in Fortran order, and a reduction over
-        # it would sum in another order than over the plain array.
-        idx = [features.names.index(s) for s in spec.strategies]
-        return np.ascontiguousarray(features.values[:, idx])
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(spec.strategies):
         raise FeatureMismatch(
             f"expected shape (n, {len(spec.strategies)}), got {arr.shape}"
         )
-    return arr
+    # A reduction over a Fortran-ordered or strided array can sum in another
+    # order than over a C-ordered copy, so every caller gets the same bits.
+    return np.ascontiguousarray(arr)
 
 
 def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
-    """Negative log-likelihood of each row of a feature matrix under the model.
-
-    Accepts a FeatureMatrix (columns matched by name, any order) or a plain
-    (n, d) array already in the model's feature order. Higher scores mean
-    farther from the reference population.
+    """Negative log-likelihood of each row of an (n, d) feature array, in the
+    order of the model's keys, under the model. Higher scores mean farther
+    from the reference population.
     """
     x = _match_matrix(features, model.feature_spec)
     z = _apply_preproc(model, x)
     logp = _log_components(z, model.weights, model.means, model.covariances)
     return -_logsumexp_rows(logp)
-
-
-def meta_score(model: GmmModel, features) -> float:
-    """:func:`meta_score_matrix` on one plain vector in the model's feature
-    order."""
-    row = np.asarray(features, dtype=np.float64)[None]
-    return float(meta_score_matrix(model, row)[0])
 
 
 def _apply_preproc(model: GmmModel, x: np.ndarray) -> np.ndarray:
@@ -468,6 +455,20 @@ def model_from_json(text: str) -> GmmModel:
     return _model_from_doc(doc)
 
 
+def _json_field(doc: dict, field: str, kind=float):
+    """``doc[field]`` as ``kind``: int for a JSON integer, float for any JSON
+    number, np.ndarray (float64) for nested lists of JSON numbers. A boolean
+    is no number."""
+    value = doc[field]
+    items = np.asarray(value, dtype=object).ravel() if kind is np.ndarray else [value]
+    allowed = int if kind is int else (int, float)
+    bad = [v for v in items if isinstance(v, bool) or not isinstance(v, allowed)]
+    if bad:
+        raise ParseError(f"model JSON field {field!r} holds {bad[0]!r}, not a JSON "
+                         f"{'integer' if kind is int else 'number'}")
+    return np.asarray(value, dtype=np.float64) if kind is np.ndarray else kind(value)
+
+
 def _model_from_doc(doc) -> GmmModel:
     if not isinstance(doc, dict):
         raise ParseError("model JSON must be an object")
@@ -476,24 +477,29 @@ def _model_from_doc(doc) -> GmmModel:
     try:
         stored = doc["feature_spec"]["variant"]
         spec = FeatureSetSpec(tuple(doc["feature_spec"]["strategies"]))
-        k = int(doc["K"])
+        k = _json_field(doc, "K", int)
         model = GmmModel(
             feature_spec=spec,
-            epsilon=float(doc["epsilon"]),
-            feat_mean=np.asarray(doc["feat_mean"], dtype=np.float64),
-            feat_std=np.asarray(doc["feat_std"], dtype=np.float64),
-            weights=np.asarray(doc["pi"], dtype=np.float64),
-            means=np.asarray(doc["mu"], dtype=np.float64),
-            covariances=np.asarray(doc["sigma"], dtype=np.float64),
-            seed=int(doc["seed"]),
-            n_train=int(doc["n_train"]),
-            bic=float(doc["bic"]),
-            loglik=float(doc["loglik"]),
+            epsilon=_json_field(doc, "epsilon"),
+            feat_mean=_json_field(doc, "feat_mean", np.ndarray),
+            feat_std=_json_field(doc, "feat_std", np.ndarray),
+            weights=_json_field(doc, "pi", np.ndarray),
+            means=_json_field(doc, "mu", np.ndarray),
+            covariances=_json_field(doc, "sigma", np.ndarray),
+            seed=_json_field(doc, "seed", int),
+            n_train=_json_field(doc, "n_train", int),
+            bic=_json_field(doc, "bic"),
+            loglik=_json_field(doc, "loglik"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"model JSON is missing or mistypes a field: {exc}") from None
+    except ParseError:  # a field that holds no JSON number where one belongs
+        raise
     except UqaggError as exc:  # a strategy key FeatureSetSpec refuses
         raise type(exc)(f"model JSON field 'feature_spec': {exc}") from None
+    if model.n_train < 2:  # fit_meta needs two samples
+        raise ParseError(f"model JSON field 'n_train' must be at least 2, got "
+                         f"{model.n_train}")
     if stored != spec.variant:
         raise ParseError(
             f"model JSON field 'feature_spec': variant {stored!r}, but its "

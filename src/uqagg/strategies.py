@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import intensity, spatial
-from .core import FeatureMatrix, MapPass, as_pass, validate_map
+from .core import MapPass, as_pass, validate_map
 from .errors import (
     DuplicateStrategy,
     InvalidParam,
@@ -176,8 +176,9 @@ def score_map(p: MapPass, strategies: Sequence[Strategy]
     return row, notes
 
 
-def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> FeatureMatrix:
-    """Aggregate every map with every strategy into a feature matrix.
+def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> np.ndarray:
+    """Aggregate every map with every strategy into an ``(n, s)`` float64
+    array: row i holds map i, column j strategy j.
 
     Each map is scored through one MapPass, so its strategies share the
     intermediates they have in common. ``masks`` must be given (one per map)
@@ -204,4 +205,4 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> Featur
         for note in notes:
             if isinstance(note, UqaggError):
                 raise note
-    return FeatureMatrix(tuple(s.key for s in strategies), rows)
+    return rows

@@ -122,6 +122,15 @@ class SynthSpec:
         return float(default)
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float, what: str, size=None):
+    """``rng.uniform(low, high, size)``; InvalidSpec naming ``what`` if the span
+    ``high - low`` is not finite."""
+    if not math.isfinite(high - low):
+        raise InvalidSpec(f"{what} gives a uniform draw over [{low!r}, {high!r}], "
+                          "whose span is not finite")
+    return rng.uniform(low, high, size=size)
+
+
 def _disk(size, row, col, radius) -> np.ndarray:
     rr, cc = np.ogrid[: size[0], : size[1]]
     return (rr - row) ** 2 + (cc - col) ** 2 <= radius**2
@@ -151,7 +160,7 @@ def _render(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     on, off = _LEVELS[spec.pattern]
     if spec.pattern == "noise":
         mean, amp = spec.param("mean"), spec.param("amp")
-        vals = rng.uniform(mean - amp, mean + amp, size=spec.size)
+        vals = _uniform(rng, mean - amp, mean + amp, "parameter 'amp'", spec.size)
     elif on is None:
         vals = np.full(spec.size, spec.param(off))
     else:
@@ -198,7 +207,8 @@ def _jittered(spec: SynthSpec, rng: np.random.Generator) -> SynthSpec:
     for key in jitters:
         base = key[: -len("_jitter")]
         width = float(params.pop(key))
-        params[base] = spec.param(base) + rng.uniform(-width, width)
+        params[base] = spec.param(base) + _uniform(rng, -width, width,
+                                                   f"parameter {key!r}")
     return replace(spec, params=params)
 
 
@@ -280,10 +290,18 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
     steps = [1.0] if perturb_ladder is None else [float(s) for s in perturb_ladder]
     if not steps or any(not (0.0 <= s <= 1.0) for s in steps):
         raise InvalidSpec(f"ladder intensities must lie in [0, 1], got {steps!r}")
+    for name, value in (("risk_slope", risk_slope), ("risk_noise", risk_noise)):
+        if not math.isfinite(value):
+            raise InvalidSpec(f"{name} must be finite, got {value!r}")
     if match_means:
         ood_spec = _match_background(ood_spec, expected_mean(iid_spec))
 
     width = max(4, len(str(max(n_iid, n_ood))))
+
+    def risk(index: int, level: float) -> float:
+        noise = _uniform(stream(seed, _LANE_RISK, index), -risk_noise, risk_noise,
+                         "risk_noise")
+        return float(np.clip(level + noise, 0.0, 1.0))
 
     iid_samples = []
     for j in range(n_iid):
@@ -291,10 +309,8 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
         spec_j = _jittered(iid_spec, rng)
         map_j = UncertaintyMap(_render(spec_j, rng))
         mask_j = pattern_mask(spec_j) if with_masks else None
-        risk_rng = stream(seed, _LANE_RISK, j)
-        risk = float(np.clip(risk_rng.uniform(-risk_noise, risk_noise), 0.0, 1.0))
         iid_samples.append(
-            BenchmarkSample(f"iid-{j:0{width}d}", map_j, mask_j, 0, risk)
+            BenchmarkSample(f"iid-{j:0{width}d}", map_j, mask_j, 0, risk(j, 0.0))
         )
 
     ood_bases = []
@@ -318,18 +334,9 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
         for j, (base, pattern, masks_j) in enumerate(ood_bases):
             mask_j = masks_j[1] if intensity > 0.5 else masks_j[0]
             vals = np.clip((1.0 - intensity) * base + intensity * pattern, 0.0, 1.0)
-            risk_rng = stream(seed, _LANE_RISK, ((t + 1) << 24) | j)
-            risk = float(
-                np.clip(
-                    risk_slope * intensity + risk_rng.uniform(-risk_noise, risk_noise),
-                    0.0,
-                    1.0,
-                )
-            )
-            samples.append(
-                BenchmarkSample(
-                    f"ood-{j:0{width}d}", UncertaintyMap(vals), mask_j, 1, risk
-                )
-            )
+            samples.append(BenchmarkSample(
+                f"ood-{j:0{width}d}", UncertaintyMap(vals), mask_j, 1,
+                risk(((t + 1) << 24) | j, risk_slope * intensity),
+            ))
         benches.append(Benchmark(tuple(samples), intensity))
     return benches

@@ -288,8 +288,8 @@ def test_criterion_6_joint_feature_separation():
     assert joint_auroc > 0.9, f"joint NLL AUROC {joint_auroc}"
 
     worst = {}
-    for j, name in enumerate(feats_held.names):
-        column = np.concatenate([feats_held.values[:, j], feats_shift.values[:, j]])
+    for j, name in enumerate(spec.strategies):
+        column = np.concatenate([feats_held[:, j], feats_shift[:, j]])
         a = auroc(column, labels)
         worst[name] = max(a, 1.0 - a)
         assert worst[name] <= 0.8, f"{name} alone reaches AUROC {worst[name]}"

@@ -604,7 +604,11 @@ def test_gmm_score_refuses_what_gmm_fit_refuses(tmp_path, edit, words):
     (["rank", "--alpha", "nan"], "--alpha must lie in (0, 1), got nan"),
     (["aggregate", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["aggregate", "--jobs", "-3"], "--jobs must be at least 1, got -3"),
-], ids=["alpha-7", "alpha-1", "alpha-0", "alpha-nan", "jobs-0", "jobs--3"])
+    (["gmm-fit", "--tol", "nan"], "tol must be positive, got nan"),
+    (["gmm-fit", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["gmm-fit", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+], ids=["alpha-7", "alpha-1", "alpha-0", "alpha-nan", "jobs-0", "jobs--3",
+        "tol-nan", "tol-0", "max-iter-0"])
 def test_out_of_domain_number_is_refused(tmp_path, argv, words):
     _table_with_gaps(tmp_path, gaps=())
     (tmp_path / "ds.samples.csv").write_text("avg,mor\n0.5,0.75\n0.25,0.5\n")
@@ -613,6 +617,8 @@ def test_out_of_domain_number_is_refused(tmp_path, argv, words):
                  "--out-prefix", str(tmp_path / "out")],
         "aggregate": ["--manifest", str(tmp_path / "m.csv"), "--strategies", "avg",
                       "--out", str(tmp_path / "out.csv")],
+        "gmm-fit": ["--features", str(tmp_path / "scores.csv"), "--strategies",
+                    "avg,mor", "--out", str(tmp_path / "out.json")],
     }[argv[0]]
     before = sorted(tmp_path.iterdir())
     res = run_cli(*argv, *inputs)
@@ -746,6 +752,31 @@ _SPECS = {
     "spec-unknown-key": ({"iid": _ENTRY, "ood": _ENTRY, "ladders": [0.5]},
                          "spec has unknown key 'ladders'"),
 }
+# Synth spec cases of the right JSON types whose values no uniform draw or
+# risk can take; each message names the key.
+_BLOB = {"inside": 0.85, "outside": 0.25, "radius": 10.0}
+_SPEC_VALUES = {
+    "spec-noise-amp-huge": (
+        {"iid": {"pattern": "noise", "params": {"mean": 0.3, "amp": 1e308}},
+         "ood": _ENTRY}, "parameter 'amp' gives a uniform draw over"),
+    "spec-mean-jitter-huge": (
+        {"iid": {"pattern": "noise", "params": {"mean": 0.3, "amp": 0.1,
+                                                "mean_jitter": 1e308}},
+         "ood": _ENTRY}, "parameter 'mean_jitter' gives a uniform draw over"),
+    "spec-radius-jitter-huge": (
+        {"iid": _ENTRY, "ood": {"pattern": "blob",
+                                "params": {**_BLOB, "radius_jitter": 1e308}}},
+        "parameter 'radius_jitter' gives a uniform draw over"),
+    **{f"spec-risk-noise-{tag}": ({"iid": _ENTRY, "ood": _ENTRY, "risk_noise": value},
+                                  words)
+       for tag, value, words in (
+           ("nan", math.nan, "risk_noise must be finite, got nan"),
+           ("inf", math.inf, "risk_noise must be finite, got inf"),
+           ("huge", 1e308, "risk_noise gives a uniform draw over"))},
+    **{f"spec-risk-slope-{tag}": ({"iid": _ENTRY, "ood": _ENTRY, "risk_slope": value},
+                                  f"risk_slope must be finite, got {value}")
+       for tag, value in (("nan", math.nan), ("inf", math.inf))},
+}
 # A valid model of two features; each case of _MODELS edits it into one that
 # save_model never writes.
 _MODEL = {
@@ -782,6 +813,27 @@ _MODELS = {
         {"feature_spec": {"variant": "custom", "strategies": ["mor", "eds", "ent"]}},
         "model JSON field 'feature_spec': variant 'custom', but its strategies are "
         "named 'spa'"),
+    # a number where a JSON number belongs, an integer where an integer does
+    **{f"model-{field}-{tag}": ({field: value}, f"model JSON field {field!r} holds "
+                                f"{value!r}, not a JSON {kind}")
+       for field, tag, value, kind in (
+           ("epsilon", "string", "0.001", "number"),
+           ("bic", "string", "1e3", "number"),
+           ("loglik", "bool", False, "number"),
+           ("K", "string", "1", "integer"),
+           ("seed", "string", "7", "integer"),
+           ("seed", "fraction", 1.5, "integer"),
+           ("seed", "bool", True, "integer"),
+           ("n_train", "fraction", 2.9, "integer"))},
+    "model-n_train-negative": ({"n_train": -4},
+                               "model JSON field 'n_train' must be at least 2, got -4"),
+    "model-epsilon-huge-integer": ({"epsilon": 10**400}, "model JSON is missing or "
+                                   "mistypes a field: int too large to convert"),
+    **{f"model-{field}-{tag}": ({field: value}, f"model JSON field {field!r} holds "
+                                f"{value[0]!r}, not a JSON number")
+       for field, tag, value in (("feat_mean", "strings", ["0.5", "0.5"]),
+                                 ("pi", "strings", ["1.0"]),
+                                 ("feat_std", "bools", [True, True]))},
 }
 # Each case: its command line and the start of its error message.
 _MALFORMED = {
@@ -812,6 +864,8 @@ _MALFORMED = {
     **{name: (["synth", "--spec", f"{{d}}/{name}.json", "--out-dir", "{d}/out"],
               f"{{d}}/{name}.json: {words}")
        for name, (_, words) in _SPECS.items()},
+    **{name: (["synth", "--spec", f"{{d}}/{name}.json", "--out-dir", "{d}/out"], words)
+       for name, (_, words) in _SPEC_VALUES.items()},
     **{name: (["gmm-score", "--model", f"{{d}}/{name}.json", "--features",
                "{d}/pair.csv", "--out", "{d}/out.csv"], words)
        for name, (_, words) in _MODELS.items()},
@@ -842,7 +896,7 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     (tmp_path / "latin1.samples.csv").write_bytes(b"avg,mor\n0.5,0.25\n\xe9,0.5\n")
     (tmp_path / "model.json").write_text('{"version": "café"}', encoding="utf-8")
     (tmp_path / "twice.csv").write_text("sample_id,map_path,map_path\ns1,u.npy,u.npy\n")
-    for name, (doc, _) in _SPECS.items():
+    for name, (doc, _) in {**_SPECS, **_SPEC_VALUES}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "spec.json").write_text(json.dumps({"iid": _ENTRY, "ood": _ENTRY}))
     write_scores(tmp_path / "pair.csv", ["s1"], ["avg", "mor"], np.array([[0.5, 0.25]]))

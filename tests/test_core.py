@@ -8,7 +8,6 @@ import pytest
 from uqagg import (
     FULL_SET,
     EmptyGrid,
-    FeatureMatrix,
     InvalidStack,
     NonFinite,
     NonTwoDimensional,
@@ -22,7 +21,6 @@ from uqagg import (
     validate_map,
 )
 from uqagg.core import MapPass
-from uqagg.errors import ShapeMismatch
 from uqagg.strategies import score_map
 
 
@@ -139,11 +137,6 @@ def test_stack_shape_validation():
         ProbabilityStack(np.zeros((2, 1, 4, 4)))  # needs at least two classes
     with pytest.raises(InvalidStack):
         ProbabilityStack(np.zeros((2, 2, 4)))
-
-
-def test_feature_matrix_selection():
-    with pytest.raises(ShapeMismatch):
-        FeatureMatrix(("a",), np.zeros((2, 2)))
 
 
 def test_all_lists_every_public_name():

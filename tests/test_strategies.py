@@ -130,9 +130,11 @@ def test_compute_features_shape_and_order():
     maps = [rng.random((8, 8)) for _ in range(5)]
     strategies = parse_strategy_list("ent,avg,mor")
     fm = compute_features(maps, strategies)
-    assert fm.names == ("ent", "avg", "mor")
-    assert fm.values.shape == (5, 3)
-    np.testing.assert_allclose(fm.values[:, 1], [float(np.mean(m)) for m in maps])
+    assert fm.shape == (5, 3) and fm.dtype == np.float64
+    # column j holds strategy j
+    np.testing.assert_allclose(fm[:, 1], [float(np.mean(m)) for m in maps])
+    np.testing.assert_array_equal(
+        fm, [[strategy(m) for strategy in strategies] for m in maps])
 
 
 def test_compute_features_mask_policy():
@@ -143,7 +145,7 @@ def test_compute_features_mask_policy():
     assert "ica" in str(err.value)
     masks = [SegmentationMask(np.ones((4, 4), dtype=int))]
     fm = compute_features(maps, strategies, masks)
-    assert fm.values.shape == (1, 2)
+    assert fm.shape == (1, 2)
     with pytest.raises(InvalidParam):
         compute_features(maps, strategies, masks * 2)
 
@@ -265,4 +267,4 @@ def test_score_map_records_strategy_warnings_as_notes():
 def test_compute_features_issues_strategy_warnings_again():
     with pytest.warns(RuntimeWarning, match="^strategy 'mor': spatial mass ratio"):
         feats = compute_features([np.zeros((8, 8))], parse_strategy_list("avg,mor"))
-    assert (feats.values == 0.0).all()
+    assert (feats == 0.0).all()

@@ -317,6 +317,29 @@ def test_benchmark_validation():
         gen_benchmark(1, 1, _noise(), _blob(), perturb_ladder=[])
 
 
+@pytest.mark.parametrize("kwargs, words", [
+    ({"risk_slope": float("nan")}, "risk_slope must be finite"),
+    ({"risk_slope": float("inf")}, "risk_slope must be finite"),
+    ({"risk_noise": float("-inf")}, "risk_noise must be finite"),
+    ({"risk_noise": 1e308}, "risk_noise gives a uniform draw"),
+    ({"iid_spec": _noise(amp=1e308)}, "parameter 'amp' gives a uniform draw"),
+    ({"iid_spec": _noise(amp=-1e308)}, "parameter 'amp' gives a uniform draw"),
+    ({"ood_spec": _blob(inside_jitter=1e308)}, "parameter 'inside_jitter' gives"),
+])
+def test_benchmark_refuses_a_draw_or_risk_that_is_not_finite(kwargs, words):
+    # a risk of NaN, or a uniform draw over an infinite span, is refused
+    # before anything is drawn from it
+    args = {"iid_spec": _noise(), "ood_spec": _blob(), **kwargs}
+    with pytest.raises(InvalidSpec, match=words):
+        gen_benchmark(2, 2, perturb_ladder=[0.0, 1.0], **args)
+
+
+def test_benchmark_takes_large_finite_risk_values():
+    benches = gen_benchmark(2, 2, _noise(), _blob(), perturb_ladder=[0.0, 1.0],
+                            risk_slope=1e300, risk_noise=8e307)
+    assert all(0.0 <= s.risk <= 1.0 for b in benches for s in b.samples)
+
+
 def test_stream_lanes_do_not_collide():
     a = stream(0, 1, 0).random(8)
     b = stream(0, 2, 0).random(8)
