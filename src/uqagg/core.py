@@ -24,6 +24,7 @@ from .errors import (
     EmptyGrid,
     InvalidParam,
     InvalidStack,
+    MaskRequired,
     NonFinite,
     NonTwoDimensional,
     OutOfRange,
@@ -55,7 +56,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_grid(raw, dtype) -> np.ndarray:
-    arr = np.asarray(raw, dtype=dtype)
+    """``raw`` as a non-empty 2-D ``dtype`` array; maps, masks and weight maps
+    all read their grids here."""
+    try:
+        arr = np.asarray(raw, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"expected a grid of numbers: {exc}") from None
     if arr.ndim != 2:
         raise NonTwoDimensional(f"expected a 2-D grid, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -201,9 +207,12 @@ class MapPass:
     def class_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Map-value sums and pixel counts per mask label, background (0) first.
 
-        Raises ShapeMismatch when the mask's shape differs from the map's.
+        Raises MaskRequired when the pass has no mask and ShapeMismatch when
+        the mask's shape differs from the map's.
         """
         if self._tally is None:
+            if self.mask is None:
+                raise MaskRequired("a segmentation mask is needed; none was given")
             mask = as_mask(self.mask)
             if mask.shape != self.map.shape:
                 raise ShapeMismatch(f"map {self.map.shape} vs mask {mask.shape}")

@@ -91,15 +91,11 @@ class TooFewSamples(UqaggError):
 
 
 class SingularCovariance(UqaggError):
-    """Covariance not positive definite and no ridge was requested."""
+    """A covariance matrix is not positive definite."""
 
 
 class FeatureMismatch(UqaggError):
     """Feature names or dimensionality do not match the model."""
-
-
-class EmptyFeatureSet(UqaggError):
-    """Feature selection left zero columns."""
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,15 @@ def _rankdata(x: np.ndarray) -> np.ndarray:
 
 
 def _numeric(x) -> np.ndarray:
-    """``x`` as an array: integers as they are, anything else as float64."""
+    """``x`` as an array: integers as they are, anything else as float64. A
+    NaN has no rank (it sorts after every number, and resampled it would tie
+    with itself as a code but not as a float), so it raises NonFinite."""
     x = np.asarray(x)
-    return x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.float64)
+    if x.dtype.kind not in "iu":
+        x = np.asarray(x, dtype=np.float64)
+        if np.isnan(x).any():
+            raise NonFinite("scores contain NaN")
+    return x
 
 
 def _codes(x: np.ndarray) -> np.ndarray:
@@ -83,6 +89,18 @@ def _midranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
 
 
+def _positives(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where the 0/1 ``labels`` are 1, and how many are; raises SingleClass
+    unless both classes appear."""
+    pos = labels == 1
+    if not (pos | (labels == 0)).all():
+        raise InvalidParam("labels must be 0 or 1")
+    n_pos = int(pos.sum())
+    if n_pos == 0 or n_pos == len(labels):
+        raise SingleClass(f"need both classes, got {n_pos} positives of {len(labels)}")
+    return pos, n_pos
+
+
 def auroc(scores, labels):
     """Probability that a positive outscores a negative, ties worth 0.5.
 
@@ -90,7 +108,8 @@ def auroc(scores, labels):
     ``scores`` is one score per label, or an ``(s, n)`` block with one row of
     scores per strategy: a 1-D input returns a float, a block one value per
     row. Integer scores are taken as they are, never cast to float; values in
-    [0, n) serve directly as the rank codes of :func:`bootstrap_table`.
+    [0, n) serve directly as the rank codes of :func:`bootstrap_table`. A NaN
+    score raises NonFinite.
     """
     scores = _numeric(scores)
     labels = np.asarray(labels)
@@ -99,13 +118,8 @@ def auroc(scores, labels):
     n = len(labels)
     if scores.shape[-1] != n:
         raise LengthMismatch(f"{scores.shape[-1]} scores vs {n} labels")
-    pos = labels == 1
-    if not (pos | (labels == 0)).all():
-        raise InvalidParam("labels must be 0 or 1")
-    n_pos = int(pos.sum())
+    pos, n_pos = _positives(labels)
     n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass(f"need both classes, got {n_pos} positives of {n}")
     codes = scores.reshape(-1, n)
     in_range = 0 <= codes.min(initial=0) and codes.max(initial=0) < n
     if scores.dtype.kind == "f" or not in_range:
@@ -247,7 +261,8 @@ def eaurc(risks, confidences):
     per strategy: a 1-D input returns a float, a block one value per row. The
     oracle curve is built once per call. Integer confidences, such as the rank
     codes of :func:`bootstrap_table`, are taken as they are, never cast to
-    float: only their order and ties enter the curve.
+    float: only their order and ties enter the curve. A NaN confidence raises
+    NonFinite, here and in :func:`risk_coverage`.
     """
     risks, confidences = _check_curve_inputs(risks, confidences)
     oracle = _aurc_rows(risks, -risks[None])[0]
@@ -268,8 +283,9 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     Every iteration draws one resample (with replacement) shared by all
     strategies, so the columns are aligned for paired tests. Resamples that
     break a metric precondition (single class for AUROC) are redrawn from the
-    same iteration stream, at most 100 times. Each resample is one metric call
-    on the block of its columns.
+    same iteration stream, at most 100 times; labels of one class raise
+    SingleClass before any draw. Each resample is one metric call on the block
+    of its columns.
 
     The scores (for ``eaurc`` the confidences) are turned into integer rank
     codes once per call. A resample only repeats values of the full sample,
@@ -280,7 +296,8 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
         raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
     if b < 1:
         raise InvalidParam(f"bootstrap count must be >= 1, got {b}")
-    scores = np.asarray(scores, dtype=np.float64)
+    # float64 first: the negated scores of eaurc would wrap in an unsigned type
+    scores = _numeric(np.asarray(scores, dtype=np.float64))
     target = np.asarray(target)
     if scores.ndim != 2 or target.ndim != 1:
         raise InvalidParam("scores must be (s, n) and target 1-D")
@@ -289,10 +306,8 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     n = len(target)
     if n == 0:
         raise EmptyInput("no samples to evaluate")
-    if np.isnan(scores).any():
-        # A NaN has no rank: resampled twice it would tie with itself as a
-        # code but not as a float.
-        raise NonFinite("scores contain NaN")
+    if metric == "auroc":
+        _positives(target)  # a sample of one class has no resample of two
     codes = _codes(-scores if metric == "eaurc" else scores)
     out = np.empty((b, len(scores)), dtype=np.float64)
     for i in range(b):

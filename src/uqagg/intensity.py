@@ -2,9 +2,10 @@
 
 Prediction-free reductions use only the map values: global mean, best patch
 mean, above-threshold average, above-quantile average. Prediction-based
-reductions additionally use a segmentation mask: per-class averages combined
-with equal or area-proportional weights, and the foreground-sized top fraction
-of the whole map.
+reductions additionally use a segmentation mask, given as their second
+argument or carried by the MapPass (MaskRequired when there is none):
+per-class averages combined with equal or area-proportional weights, and the
+foreground-sized top fraction of the whole map.
 
 Every reduction takes a raw grid, an UncertaintyMap or a MapPass. Through one
 MapPass, the mean takes the map total the spatial reductions also use, the
@@ -121,12 +122,13 @@ def aqa(u, q: float) -> float:
     return float(p.sorted_values()[total - k :].mean())
 
 
-def _class_means(u, mask) -> tuple[np.ndarray, np.ndarray]:
+def _class_means(u, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Mean uncertainty and pixel count of each non-background class, in label
     order.
 
-    Raises ShapeMismatch when map and mask shapes differ and NoForeground
-    when every pixel carries the background label 0.
+    Raises MaskRequired when there is no mask, ShapeMismatch when map and
+    mask shapes differ and NoForeground when every pixel carries the
+    background label 0.
     """
     sums, counts = as_pass(u, mask).class_tally()
     fg = np.flatnonzero(counts[1:]) + 1
@@ -135,19 +137,19 @@ def _class_means(u, mask) -> tuple[np.ndarray, np.ndarray]:
     return sums[fg] / counts[fg], counts[fg]
 
 
-def bca(u, mask) -> float:
+def bca(u, mask=None) -> float:
     """Mean of the per-class averages with equal class weights."""
     alpha, _ = _class_means(u, mask)
     return math.fsum((1.0 / len(alpha)) * alpha)
 
 
-def ica(u, mask) -> float:
+def ica(u, mask=None) -> float:
     """Area-proportional combination of the per-class averages."""
     alpha, area = _class_means(u, mask)
     return math.fsum((area / area.sum()) * alpha)
 
 
-def qfr(u, mask) -> float:
+def qfr(u, mask=None) -> float:
     """Mean of the top k map values where k matches the foreground area.
 
     The mask fixes only the count: with f foreground pixels out of m*n, the

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptyFeatureSet,
     FeatureMismatch,
     InvalidEpsilon,
     InvalidParam,
@@ -66,14 +65,12 @@ class FeatureSetSpec:
     takes, a comma-separated string or a sequence of identifiers, and is
     stored as the tuple of their canonical keys in the given order
     (``eds:0.2`` becomes ``eds``). A key listed twice raises
-    DuplicateStrategy.
+    DuplicateStrategy, and an empty list UnknownStrategy.
     """
 
     strategies: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.strategies:
-            raise EmptyFeatureSet("feature set needs at least one strategy")
         keys = tuple(s.key for s in parse_strategy_list(self.strategies))
         object.__setattr__(self, "strategies", keys)
 
@@ -158,9 +155,7 @@ def _log_components(x, weights, means, covs) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(covs[live])
     except np.linalg.LinAlgError:
-        raise SingularCovariance(
-            "covariance not positive definite; use a positive ridge"
-        ) from None
+        raise SingularCovariance("covariance not positive definite") from None
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     # Column i of white[j] is L_j^-1 (x_i - mean_j), so its squared norm is
     # the Mahalanobis distance under cov_j = L_j L_j^T.
@@ -456,9 +451,9 @@ def model_from_json(text: str) -> GmmModel:
 
 
 def _json_field(doc: dict, field: str, kind=float):
-    """``doc[field]`` as ``kind``: int for a JSON integer, float for any JSON
-    number, np.ndarray (float64) for nested lists of JSON numbers. A boolean
-    is no number."""
+    """``doc[field]`` as ``kind``: int for a JSON integer, float for any finite
+    JSON number, np.ndarray (float64) for nested lists of finite JSON numbers.
+    A boolean is no number, and a fit writes no NaN or infinity."""
     value = doc[field]
     items = np.asarray(value, dtype=object).ravel() if kind is np.ndarray else [value]
     allowed = int if kind is int else (int, float)
@@ -466,7 +461,12 @@ def _json_field(doc: dict, field: str, kind=float):
     if bad:
         raise ParseError(f"model JSON field {field!r} holds {bad[0]!r}, not a JSON "
                          f"{'integer' if kind is int else 'number'}")
-    return np.asarray(value, dtype=np.float64) if kind is np.ndarray else kind(value)
+    if kind is int:
+        return value
+    value = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(value).all():
+        raise ParseError(f"model JSON field {field!r} holds a non-finite value")
+    return value if kind is np.ndarray else float(value)
 
 
 def _model_from_doc(doc) -> GmmModel:
@@ -510,14 +510,9 @@ def _model_from_doc(doc) -> GmmModel:
         model.weights.shape != (k,) or model.feat_std.shape != (d,)
     ):
         raise ParseError("model JSON has inconsistent array shapes")
-    # Refuse what a fit never writes: its arrays are finite, its standard
-    # deviations positive (standardize_fit gives a constant column 1) and its
-    # mixing weights non-negative and not all zero.
-    for field, arr in (("feat_mean", model.feat_mean), ("feat_std", model.feat_std),
-                       ("pi", model.weights), ("mu", model.means),
-                       ("sigma", model.covariances)):
-        if not np.isfinite(arr).all():
-            raise ParseError(f"model JSON field {field!r} holds a non-finite value")
+    # Refuse what a fit never writes: its standard deviations are positive
+    # (standardize_fit gives a constant column 1) and its mixing weights
+    # non-negative and not all zero.
     if (model.feat_std <= 0.0).any():
         raise ParseError("model JSON field 'feat_std' must be positive")
     if (model.weights < 0.0).any() or not (model.weights > 0.0).any():

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MapPass, UncertaintyMap, _row_strips, as_pass, validate_map
+from .core import MapPass, UncertaintyMap, _as_grid, _row_strips, as_pass, validate_map
 from .errors import InvalidParam, ShapeMismatch
 
 DEFAULT_EDGE_TAU = 0.2
@@ -69,9 +69,7 @@ class WeightMap:
     measure: str
 
     def __post_init__(self):
-        arr = np.asarray(self.weights, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"weight map must be 2-D, got ndim={arr.ndim}")
+        arr = _as_grid(self.weights, np.float64)
         if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
             raise InvalidParam("spatial weights must be finite values in [0, 1]")
         arr = arr.copy()

@@ -33,7 +33,6 @@ from .core import MapPass, as_pass, validate_map
 from .errors import (
     DuplicateStrategy,
     InvalidParam,
-    MaskRequired,
     NoForeground,
     UnknownStrategy,
     UqaggError,
@@ -55,7 +54,7 @@ FULL_SET = INTENSITY_SET + SPATIAL_SET
 class Entry(NamedTuple):
     """One strategy: its kernel, parameter parser (int, float, or None for no
     parameter), domain check, the value of the bare name (None when a
-    parameter is required) and whether the kernel also takes the mask."""
+    parameter is required) and whether the kernel reads a mask."""
 
     kernel: Callable
     parse: type | None = None
@@ -91,12 +90,7 @@ class Strategy:
     def __call__(self, u, mask=None) -> float:
         """Score one map; ``u`` may be a MapPass that carries the mask and
         the intermediates shared with the other strategies of its map."""
-        p = as_pass(u, mask)
-        if self.requires_mask:
-            if p.mask is None:
-                raise MaskRequired(f"strategy {self.key!r} needs a segmentation mask")
-            return self._fn(p, p.mask, *self._args)
-        return self._fn(p, *self._args)
+        return self._fn(as_pass(u, mask), *self._args)
 
 
 def parse_strategy(token: str) -> Strategy:
@@ -182,7 +176,8 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> np.nda
 
     Each map is scored through one MapPass, so its strategies share the
     intermediates they have in common. ``masks`` must be given (one per map)
-    when any strategy needs one.
+    when any strategy needs one; without them such a strategy raises
+    MaskRequired.
     Per-sample errors (e.g. NoForeground) propagate and warnings are issued
     again, each named by strategy; callers that want to tolerate NoForeground
     should call :func:`score_map`.
@@ -190,9 +185,6 @@ def compute_features(maps, strategies: Sequence[Strategy], masks=None) -> np.nda
     strategies = list(strategies)
     maps = [validate_map(u) for u in maps]
     if masks is None:
-        needy = [s.key for s in strategies if s.requires_mask]
-        if needy:
-            raise MaskRequired(f"strategies {needy} need masks")
         masks = [None] * len(maps)
     elif len(masks) != len(maps):
         raise InvalidParam(f"{len(maps)} maps but {len(masks)} masks")

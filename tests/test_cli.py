@@ -488,6 +488,22 @@ def test_eval_fd_without_risk_exits_4(tmp_path):
     assert not (tmp_path / "e.samples.csv").exists()
 
 
+def test_eval_ood_on_one_class_names_the_cause(tmp_path):
+    _table_with_gaps(tmp_path, gaps=())
+    write_manifest(tmp_path / "m.csv", [
+        ManifestRow(r.sample_id, r.map_path, None, 0, r.risk)
+        for r in read_manifest(tmp_path / "m.csv", check_files=False).rows
+    ])
+    res = run_cli(
+        "eval", "--scores", str(tmp_path / "scores.csv"), "--manifest",
+        str(tmp_path / "m.csv"), "--task", "ood", "--bootstrap", "5",
+        "--out-prefix", str(tmp_path / "e"),
+    )
+    assert res.returncode == 4
+    assert res.stderr == "error: need both classes, got 0 positives of 24\n"
+    assert not (tmp_path / "e.samples.csv").exists()
+
+
 def test_gmm_fit_skips_incomplete_rows(tmp_path):
     _table_with_gaps(tmp_path)
     res = run_cli(
@@ -827,6 +843,11 @@ _MODELS = {
            ("n_train", "fraction", 2.9, "integer"))},
     "model-n_train-negative": ({"n_train": -4},
                                "model JSON field 'n_train' must be at least 2, got -4"),
+    # a fit writes no NaN or infinity, in any number field
+    **{f"model-{field}-{tag}": ({field: value}, f"model JSON field {field!r} holds "
+                                "a non-finite value")
+       for field, tag, value in (("bic", "nan", math.nan), ("loglik", "inf", math.inf),
+                                 ("epsilon", "nan", math.nan))},
     "model-epsilon-huge-integer": ({"epsilon": 10**400}, "model JSON is missing or "
                                    "mistypes a field: int too large to convert"),
     **{f"model-{field}-{tag}": ({field: value}, f"model JSON field {field!r} holds "

@@ -79,6 +79,10 @@ def test_map_rejects_bad_inputs():
         validate_map([[0.1, 1.2]])
     with pytest.raises(OutOfRange):
         validate_map([[-0.1, 0.2]])
+    # grids that hold no numbers
+    for raw in ("abc", [["0.5", "x"]], [[10**400]]):
+        with pytest.raises(OutOfRange, match="^expected a grid of numbers: "):
+            validate_map(raw)
 
 
 def test_map_identity_passthrough():
@@ -94,6 +98,9 @@ def test_mask_basics():
         as_mask([[-1, 0]])
     with pytest.raises(NonTwoDimensional):
         as_mask([0, 1, 2])
+    for raw in (np.array([["a"]]), None, [[2**70]]):
+        with pytest.raises(OutOfRange, match="^expected a grid of numbers: "):
+            as_mask(raw)
 
 
 def test_stack_entropy_two_class_extremes():
@@ -177,3 +184,24 @@ def test_every_public_name_has_a_caller_outside_its_tests():
                 word.search(own_line.sub("", t)) for t in sources):
             uncalled.append(name)
     assert sorted(uncalled) == sorted(_KEPT_WITHOUT_CALLER)
+
+
+def test_random_stream_lanes_are_distinct_and_nonzero():
+    # Each role draws from its own rng.stream lane; lane 0 is synth.generate's
+    # default. rng itself holds the lane width, which is no lane.
+    import importlib
+    import pkgutil
+
+    import uqagg
+    from uqagg.rng import _LANE_BITS
+
+    lanes = {}
+    for info in pkgutil.iter_modules(uqagg.__path__):
+        module = importlib.import_module(f"uqagg.{info.name}")
+        if info.name != "rng":
+            lanes.update({f"{info.name}.{name}": value
+                          for name, value in vars(module).items()
+                          if name.startswith("_LANE_")})
+    assert len(lanes) >= 6, lanes
+    assert len(set(lanes.values())) == len(lanes), lanes
+    assert all(0 < lane < 1 << _LANE_BITS for lane in lanes.values()), lanes

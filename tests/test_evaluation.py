@@ -435,8 +435,9 @@ def test_bootstrap_eaurc_uses_negated_scores_as_confidence():
 
 
 def test_bootstrap_all_one_class_raises():
+    # refused before any draw, in auroc's words
     scores = np.arange(6.0)[None]
-    with pytest.raises(SingleClass):
+    with pytest.raises(SingleClass, match="^need both classes, got 6 positives of 6$"):
         bootstrap_table(scores, np.ones(6, dtype=int), "auroc", b=10, seed=0)
 
 
@@ -583,6 +584,28 @@ def test_bootstrap_table_refuses_nan_scores():
     # Resampled twice, a NaN would tie with itself as a code but not as a float.
     with pytest.raises(NonFinite):
         bootstrap_table(np.array([[0.1, np.nan, 0.3]]), [0, 1, 1], "auroc", b=2)
+
+
+def test_every_metric_refuses_nan_scores():
+    with pytest.raises(NonFinite):
+        auroc([math.nan, 0.0, 0.2], [1, 0, 0])
+    with pytest.raises(NonFinite):
+        auroc(np.array([[0.1, 0.5, 0.2], [0.3, math.nan, 0.2]]), [1, 0, 0])
+    with pytest.raises(NonFinite):
+        eaurc([0.1, 0.9, 0.5], [math.nan, 0.0, 0.2])
+    with pytest.raises(NonFinite):
+        risk_coverage([0.1, 0.9, 0.5], [math.nan, 0.0, 0.2])
+    # infinity has a rank; only NaN is refused
+    assert eaurc([0.1, 0.9, 0.5], [math.inf, 0.0, 0.2]) >= 0.0
+
+
+def test_bootstrap_eaurc_of_unsigned_scores_equals_float_scores():
+    # eaurc negates the scores, and in uint8 the negation of 1 wraps to 255
+    scores = np.array([[0, 1, 2, 3, 4, 5], [5, 1, 4, 0, 3, 2]], dtype=np.uint8)
+    risks = np.array([0.0, 0.1, 0.3, 0.2, 0.9, 1.0])
+    got = bootstrap_table(scores, risks, "eaurc", b=20, seed=4)
+    want = bootstrap_table(scores.astype(np.float64), risks, "eaurc", b=20, seed=4)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bootstrap_calls_stream_and_metric_once_per_resample(monkeypatch):

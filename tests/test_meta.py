@@ -25,7 +25,6 @@ from uqagg import (
 )
 from uqagg.errors import (
     DuplicateStrategy,
-    EmptyFeatureSet,
     FeatureMismatch,
     InvalidEpsilon,
     InvalidParam,
@@ -384,8 +383,10 @@ def test_feature_set_spec_variants():
         FeatureSetSpec(["avg", "nope"])
     with pytest.raises(InvalidParam):
         FeatureSetSpec(["gmm:model.json"])  # no nesting
-    with pytest.raises(EmptyFeatureSet):
-        FeatureSetSpec([])
+    # the parser's one empty-list check, however the emptiness is spelled
+    for empty in ((), [], "", " , "):
+        with pytest.raises(UnknownStrategy, match="^empty strategy list$"):
+            FeatureSetSpec(empty)
 
 
 def test_feature_set_spec_stores_canonical_keys():

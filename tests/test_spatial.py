@@ -15,7 +15,13 @@ from uqagg import (
     spatial_weight_map,
     validate_map,
 )
-from uqagg.errors import InvalidParam, ShapeMismatch
+from uqagg.errors import (
+    EmptyGrid,
+    InvalidParam,
+    NonTwoDimensional,
+    OutOfRange,
+    ShapeMismatch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +485,13 @@ def test_smr_shape_mismatch():
 def test_weight_map_validation():
     with pytest.raises(InvalidParam):
         WeightMap(np.full((2, 2), 1.5), "moran")
-    with pytest.raises(ShapeMismatch):
+    # the grid is read as maps and masks are, with their typed errors
+    with pytest.raises(NonTwoDimensional):
         WeightMap(np.zeros(4), "moran")
+    with pytest.raises(EmptyGrid):
+        WeightMap(np.zeros((1, 0)), "moran")
+    with pytest.raises(OutOfRange):
+        WeightMap([["x"]], "moran")
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,18 @@ def test_compute_features_no_foreground_names_the_strategy(name):
         compute_features(maps, parse_strategy_list(["avg", name]), masks)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in TABLE if TABLE[n].needs_mask))
+def test_missing_mask_is_refused_where_the_mask_is_read(name):
+    u = validate_map(np.full((4, 4), 0.5))
+    with pytest.raises(MaskRequired):
+        TABLE[name].kernel(u, None)
+    words = f"^strategy '{name}': a segmentation mask is needed; none was given$"
+    with pytest.raises(MaskRequired, match=words):
+        score_map(MapPass(u), parse_strategy_list(["avg", name]))
+    with pytest.raises(MaskRequired, match=words):
+        compute_features([u], parse_strategy_list(["avg", name]))
+
+
 def test_score_map_skips_no_foreground_and_names_other_errors():
     u = validate_map(np.full((8, 8), 0.5))
     background = SegmentationMask(np.zeros((8, 8), dtype=int))
