@@ -62,7 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output score table CSV")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (fork); output is identical for any value")
+                   help="worker processes (fork), at most one per allowed CPU, "
+                   "each pinned to its own CPU and pulling pieces of the "
+                   "manifest from a shared cursor; output is identical for "
+                   "any value")
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser(
@@ -230,52 +233,64 @@ def _cmd_aggregate(args) -> int:
 
 
 def _in_slices(work, items: list, jobs: int) -> list:
-    """``work`` of each of ``min(jobs, len(items))`` contiguous slices of
-    ``items`` of near-equal length, in order.
+    """``work`` of contiguous pieces of ``items``: one result per piece, in
+    item order.
 
-    This process works the first slice and one forked child works each other
-    slice. A child prints nothing: it sends back its result or the first
-    error it meets, and the warnings its work showed. The errors are raised
-    in slice order, so the one raised is the first that one pass over
-    ``items`` would meet. No child outlives the call: each is joined, and on
-    any failure terminated first.
+    The workers are this process and ``n - 1`` forked children, where ``n``
+    is ``min(jobs, len(items))`` capped at the CPUs this process may run on;
+    with ``n == 1`` ``work(items)`` runs here, alone. This process pins each
+    child and then itself to a CPU of its own, where the platform allows, and
+    restores its own CPU set before it returns. Every worker claims the next
+    ``ceil(remaining / (2 n))`` items from one shared cursor until none are
+    left, so pieces shrink as the work runs out and a slow worker takes fewer.
+
+    A child prints nothing: it sends back, once, each of its pieces' result
+    or first error and the warnings it showed. After an error no worker
+    claims a new piece, and since claims only move forward, every piece
+    before the failing one still finishes. The warnings are shown in piece
+    order up to the first error, which is raised: the error one pass over
+    ``items`` would meet first. No child outlives the call: each is joined,
+    and on any failure terminated first.
     """
-    n = min(jobs, len(items))
+    # The CPUs this process may run on; os.cpu_count() of them where the
+    # platform cannot say which.
+    own = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    cpus = sorted(own) if own else list(range(os.cpu_count() or 1))
+    n = min(jobs, len(items), len(cpus))
     if n == 1:
         return [work(items)]
-    bounds = [len(items) * i // n for i in range(n + 1)]
-    slices = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     # fork, not spawn: a spawned child imports numpy and uqagg again, which
     # takes longer than scoring a hundred 64x64 maps. A forked child calls no
     # BLAS routine, so no thread pool numpy inherited from this process runs.
     ctx = multiprocessing.get_context("fork")
+    cursor = ctx.Value("q", 0)   # the first item no worker has claimed
+    pin = getattr(os, "sched_setaffinity", None)
     # A child flushes its copy of these buffers when it exits.
     sys.stdout.flush()
     sys.stderr.flush()
     children = []
     try:
-        for part in slices[1:]:
+        for cpu in cpus[1:n]:
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_work_in_child, args=(work, part, send))
+            child = ctx.Process(target=_work_in_child,
+                                args=(work, items, cursor, n, send))
             child.start()
             send.close()
             children.append((child, recv))
-        results = [work(slices[0])]
+            # Pinned by this process: a child that pinned itself would first
+            # wait for a turn on this process's CPU.
+            _pin(pin, child.pid, {cpu})
+        _pin(pin, 0, {cpus[0]})
+        pieces = _work_pieces(work, items, cursor, n)
         for child, recv in children:
             try:
-                ok, payload, shown = recv.recv()
+                pieces += recv.recv()
             except EOFError:
                 child.join()
                 raise ChildProcessError(
                     f"a worker process exited with code {child.exitcode} "
                     "before it sent its scores"
                 ) from None
-            for message in shown:
-                warnings.showwarning(*message)
-            if not ok:
-                raise payload
-            results.append(payload)
-        return results
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -284,19 +299,57 @@ def _in_slices(work, items: list, jobs: int) -> list:
         for child, recv in children:
             recv.close()
             child.join()
+        _pin(pin, 0, own)
+    results = []
+    for _, ok, payload, shown in sorted(pieces, key=lambda piece: piece[0]):
+        for message in shown:
+            warnings.showwarning(*message)
+        if not ok:
+            raise payload
+        results.append(payload)
+    return results
 
 
-def _work_in_child(work, items: list, conn) -> None:
-    """Body of a worker process of :func:`_in_slices`: sends
-    ``(ok, result or error, warnings shown)`` and writes to no stream."""
-    with warnings.catch_warnings(record=True) as shown:
+def _pin(pin, pid: int, cpus) -> None:
+    """Best effort: ``pin(pid, cpus)`` where the platform has ``pin`` and
+    allows the call. Where a process stays unpinned it is only slower."""
+    if pin is not None:
         try:
-            reply = (True, work(items))
-        except BaseException as exc:  # every error travels back as data
-            reply = (False, exc)
+            pin(pid, cpus)
+        except OSError:
+            pass
+
+
+def _work_pieces(work, items: list, cursor, n: int) -> list:
+    """The pieces one worker of :func:`_in_slices` claims from ``cursor`` and
+    works: ``(start, ok, result or error, warnings shown)`` each."""
+    done = []
+    while True:
+        with cursor.get_lock():
+            start = cursor.value
+            stop = start + -(-(len(items) - start) // (2 * n))
+            cursor.value = stop
+        if start == stop:
+            return done
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                reply = (True, work(items[start:stop]))
+            except BaseException as exc:  # every error travels back as data
+                reply = (False, exc)
+        done.append((start, *reply, [(w.message, w.category, w.filename, w.lineno)
+                                     for w in shown]))
+        if not reply[0]:
+            with cursor.get_lock():
+                cursor.value = len(items)   # no worker claims another piece
+            return done
+
+
+def _work_in_child(work, items: list, cursor, n: int, conn) -> None:
+    """Body of a worker process of :func:`_in_slices`: sends its pieces once
+    and writes to no stream."""
+    pieces = _work_pieces(work, items, cursor, n)
     try:
-        conn.send((*reply, [(w.message, w.category, w.filename, w.lineno)
-                            for w in shown]))
+        conn.send(pieces)
     except Exception:  # unpicklable: the parent reports the exit code
         os._exit(1)
 

@@ -57,9 +57,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _as_grid(raw, dtype) -> np.ndarray:
     """``raw`` as a non-empty 2-D ``dtype`` array; maps, masks and weight maps
-    all read their grids here."""
+    all read their grids here. Only a boolean, integer or real floating grid
+    is converted: strings would be parsed, and complex numbers would lose
+    their imaginary parts."""
     try:
-        arr = np.asarray(raw, dtype=dtype)
+        arr = np.asarray(raw)
+        if arr.dtype.kind not in "biuf":
+            raise TypeError(f"got dtype {arr.dtype}, not boolean, integer or real")
+        arr = np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise OutOfRange(f"expected a grid of numbers: {exc}") from None
     if arr.ndim != 2:
@@ -107,7 +112,8 @@ def validate_map(raw, *, owned: bool = False) -> UncertaintyMap:
     any other view.
 
     Raises NonTwoDimensional, EmptyGrid, NonFinite, or OutOfRange when the
-    input is not a non-empty 2-D grid of finite values in [0, 1].
+    input is not a non-empty 2-D grid of finite values in [0, 1]; a grid of
+    strings or complex numbers is OutOfRange too.
     """
     if isinstance(raw, UncertaintyMap):
         return raw

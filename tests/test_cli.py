@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -904,6 +905,16 @@ _MALFORMED = {
         ["synth", "--spec", "{d}/spec.json", "--out-dir", "{d}/out", "--seed", "0"],
         "--spec sets every benchmark value from its file; drop --seed, which only "
         "the preset takes"),
+    # a seed outside [0, 2**64) would share its random streams with another
+    "synth-seed-negative": (["synth", "--seed", "-1", "--out-dir", "{d}/out"],
+                            "seed must lie in [0, 2**64), got -1"),
+    "gmm-fit-seed-negative": (
+        ["gmm-fit", "--features", "{d}/two.csv", "--strategies", "avg,mor",
+         "--seed", "-1", "--out", "{d}/out.csv"], "seed must lie in [0, 2**64), got -1"),
+    "eval-seed-2-64": (
+        ["eval", "--scores", "{d}/scores.csv", "--manifest", "{d}/m.csv", "--task", "fd",
+         "--bootstrap", "5", "--seed", str(2**64), "--out-prefix", "{d}/out"],
+        f"seed must lie in [0, 2**64), got {2**64}"),
 }
 
 
@@ -921,6 +932,8 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "spec.json").write_text(json.dumps({"iid": _ENTRY, "ood": _ENTRY}))
     write_scores(tmp_path / "pair.csv", ["s1"], ["avg", "mor"], np.array([[0.5, 0.25]]))
+    write_scores(tmp_path / "two.csv", ["s1", "s2"], ["avg", "mor"],
+                 np.array([[0.5, 0.25], [0.4, 0.3]]))
     for name, (edit, _) in _MODELS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({**_MODEL, **edit}))
 
@@ -931,7 +944,7 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1, res.stderr
     assert errors[0].startswith("error: " + words.format(d=tmp_path))
-    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+    assert not list(tmp_path.glob("out*"))   # no output file or directory
 
 
 def test_unedited_model_of_the_malformed_cases_scores(tmp_path):
@@ -983,6 +996,24 @@ def test_exit_code_policy_is_carried_by_the_error_classes():
 # aggregate --jobs: forked worker processes
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes ``os.sched_getaffinity`` report k CPUs: the allowed
+    ones first, then numbers past them, to which pinning may fail, as it may
+    fail anywhere. The real CPU set is restored after the test."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the platform cannot say which CPUs a process may run on")
+    real = os.sched_getaffinity(0)
+    restore = os.sched_setaffinity
+
+    def use(k):
+        listed = sorted(real) + list(range(max(real) + 1, max(real) + 1 + k))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(listed[:k]))
+
+    yield use
+    restore(0, real)
+
+
 def _aggregate_in_process(capsys, manifest, strategies, out, jobs):
     """(exit code, stderr, table bytes or None) of one in-process aggregate
     call; no worker process may outlive it."""
@@ -1014,6 +1045,19 @@ def _map_manifest(tmp_path, n, zero=(), background=()):
     return tmp_path / "m.csv"
 
 
+def _warn_on_read(monkeypatch, message):
+    """Make every map read by aggregate first warn ``message(map array)``."""
+    from uqagg import cli
+
+    check = cli.validate_map
+
+    def validate_and_warn(u, **kwargs):
+        warnings.warn(message(u), UserWarning)
+        return check(u, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_map", validate_and_warn)
+
+
 def test_aggregate_more_jobs_than_rows_gives_the_bytes_of_one_job(tmp_path, capsys):
     manifest = _map_manifest(tmp_path, 3)
     one = _aggregate_in_process(capsys, manifest, "avg,plm:2,bca,mor,ent",
@@ -1024,19 +1068,43 @@ def test_aggregate_more_jobs_than_rows_gives_the_bytes_of_one_job(tmp_path, caps
     assert eight == one
 
 
+def test_aggregate_jobs_give_the_bytes_of_one_job_for_any_row_count(
+        tmp_path, capsys, monkeypatch, cpus):
+    """Every split of 1-13 rows among up to 4 workers: the same table, notes
+    and warnings as one pass."""
+    cpus(4)
+    _warn_on_read(monkeypatch, lambda u: f"map of mean {u.mean():.4f} read")
+    for rows in range(1, 14):
+        d = tmp_path / f"r{rows}"
+        d.mkdir()
+        manifest = _map_manifest(d, rows, zero=(rows // 2,), background=(rows - 1,))
+        one = _aggregate_in_process(capsys, manifest, "avg,qfr,mor", d / "s1.csv", 1)
+        assert one[0] == 0 and len(_warnings(one[1])) == rows + 2
+        for jobs in (2, 3, 4):
+            assert _aggregate_in_process(capsys, manifest, "avg,qfr,mor",
+                                         d / f"s{jobs}.csv", jobs) == one, (rows, jobs)
+
+
+# Every row of 9 starts a piece at some worker count from 1 to 4.
 @pytest.mark.parametrize("fault, row, code", [
-    ("out-of-range", 8, 4),   # last of the slices 0-2, 3-5, 6-8
-    ("missing", 4, 3),        # middle slice, removed after the manifest check
-    ("out-of-range", 1, 4),   # the slice this process works
-], ids=["out-of-range-last", "missing-middle", "out-of-range-first"])
-def test_aggregate_jobs_fail_like_one_job(tmp_path, capsys, monkeypatch,
+    ("out-of-range", 8, 4),
+    ("missing", 4, 3),        # removed after the manifest check
+    ("out-of-range", 1, 4),
+    *(("out-of-range", row, 4) for row in (0, 2, 3, 4, 5, 6, 7)),
+    *(("missing", row, 3) for row in (0, 5, 8)),
+], ids=["out-of-range-last", "missing-middle", "out-of-range-first",
+        *(f"out-of-range-{row}" for row in (0, 2, 3, 4, 5, 6, 7)),
+        *(f"missing-{row}" for row in (0, 5, 8))])
+def test_aggregate_jobs_fail_like_one_job(tmp_path, capsys, monkeypatch, cpus,
                                           fault, row, code):
     from uqagg import io as uqagg_io
 
+    cpus(4)
+    _warn_on_read(monkeypatch, lambda u: f"map of mean {u.mean():.4f} read")
     manifest = _map_manifest(tmp_path, 9)
     if fault == "out-of-range":
         write_npy(tmp_path / f"u{row}.npy", np.full((8, 8), 1.5))
-        if row + 3 < 9:   # a later slice fails too; its error must not show
+        if row + 3 < 9:   # a later row fails too; its error must not show
             write_npy(tmp_path / f"u{row + 3}.npy", np.full((8, 8), -1.0))
     else:
         read_manifest_checked = uqagg_io.read_manifest
@@ -1048,18 +1116,23 @@ def test_aggregate_jobs_fail_like_one_job(tmp_path, capsys, monkeypatch,
 
         monkeypatch.setattr(uqagg_io, "read_manifest", read_then_remove)
     runs = []
-    for jobs in (1, 3):
+    for jobs in (1, 2, 3, 4):
         if fault == "missing":
             write_npy(tmp_path / f"u{row}.npy", np.full((8, 8), 0.5))
         runs.append(_aggregate_in_process(capsys, manifest, "avg,mor",
                                           tmp_path / f"s{jobs}.csv", jobs))
-    assert runs[0] == runs[1]
+    assert runs[1:] == runs[:1] * 3
     exit_code, stderr, table = runs[0]
     assert (exit_code, table) == (code, None)
-    assert stderr.startswith(f"error: sample 's{row}' (") and stderr.count("\n") == 1
+    # the warnings of the maps read before the failure, then the error
+    *warned, error = stderr.splitlines()
+    assert len(warned) == row + (fault == "out-of-range")
+    assert warned == _warnings(stderr)
+    assert error.startswith(f"error: sample 's{row}' (")
 
 
-def test_aggregate_jobs_report_notes_like_one_job(tmp_path, capsys):
+def test_aggregate_jobs_report_notes_like_one_job(tmp_path, capsys, cpus):
+    cpus(3)
     manifest = _map_manifest(tmp_path, 9, zero=(0, 4, 8), background=(2, 5))
     one = _aggregate_in_process(capsys, manifest, "avg,qfr,mor,eds",
                                 tmp_path / "s1.csv", 1)
@@ -1077,16 +1150,10 @@ def test_aggregate_jobs_report_notes_like_one_job(tmp_path, capsys):
     assert stderr.count("\n") == len(warned) + 1
 
 
-def test_aggregate_workers_send_other_warnings_back(tmp_path, capsys, monkeypatch):
-    from uqagg import cli
-
-    check = cli.validate_map
-
-    def validate_and_warn(u, **kwargs):
-        warnings.warn(f"map of mean {u.mean():.2f} read", UserWarning)
-        return check(u, **kwargs)
-
-    monkeypatch.setattr(cli, "validate_map", validate_and_warn)
+def test_aggregate_workers_send_other_warnings_back(tmp_path, capsys, monkeypatch,
+                                                    cpus):
+    cpus(3)
+    _warn_on_read(monkeypatch, lambda u: f"map of mean {u.mean():.2f} read")
     manifest = _map_manifest(tmp_path, 6, zero=(4,))
     one = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s1.csv", 1)
     three = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s3.csv", 3)
@@ -1096,15 +1163,94 @@ def test_aggregate_workers_send_other_warnings_back(tmp_path, capsys, monkeypatc
     assert warned[6].startswith("warning: sample 's4', strategy 'mor': ")
 
 
-def test_aggregate_reports_a_worker_that_dies(tmp_path, capsys, monkeypatch):
+def test_aggregate_jobs_pin_each_worker_to_its_own_cpu(tmp_path, capsys, monkeypatch):
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(allowed) < 2 or not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs two allowed CPUs and a way to pin a process")
+
+    def report_cpus(u):
+        # A child is pinned just after it starts: wait for that, then let the
+        # other worker take a piece too.
+        deadline = time.monotonic() + 10
+        while len(os.sched_getaffinity(0)) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.005)
+        return f"on CPUs {sorted(os.sched_getaffinity(0))}"
+
+    _warn_on_read(monkeypatch, report_cpus)
+    manifest = _map_manifest(tmp_path, 16)
+    code, stderr, _ = _aggregate_in_process(capsys, manifest, "avg",
+                                            tmp_path / "s.csv", 2)
+    assert code == 0
+    assert set(_warnings(stderr)) == {f"warning: on CPUs [{cpu}]" for cpu in allowed[:2]}
+    assert os.sched_getaffinity(0) == set(allowed)
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["success", "error"])
+def test_aggregate_jobs_restore_the_cpu_set(tmp_path, capsys, fault):
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the platform cannot say which CPUs a process may run on")
+    before = os.sched_getaffinity(0)
+    manifest = _map_manifest(tmp_path, 6)
+    if fault:
+        write_npy(tmp_path / "u5.npy", np.full((8, 8), 1.5))
+    code, _, _ = _aggregate_in_process(capsys, manifest, "avg", tmp_path / "s.csv", 2)
+    assert code == (4 if fault else 0)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_aggregate_jobs_without_pinning_give_the_bytes_of_one_job(
+        tmp_path, capsys, monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    manifest = _map_manifest(tmp_path, 7, zero=(3,))
+    one = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s1.csv", 1)
+    two = _aggregate_in_process(capsys, manifest, "avg,mor", tmp_path / "s2.csv", 2)
+    assert one[0] == 0 and two == one
+
+
+@pytest.mark.parametrize("jobs, allowed, forks", [(1, 2, 0), (8, 1, 0), (8, 2, 1)])
+def test_aggregate_jobs_fork_one_worker_per_allowed_cpu_at_most(
+        tmp_path, capsys, monkeypatch, cpus, jobs, allowed, forks):
+    """No more workers than CPUs to run them; one worker neither forks nor
+    pins."""
+    cpus(allowed)
+    started, pinned = [], []
+    start = multiprocessing.process.BaseProcess.start
+    pin = getattr(os, "sched_setaffinity", None)
+
+    def count_start(self):
+        started.append(self)
+        start(self)
+
+    def count_pin(pid, cpu_set):
+        pinned.append(pid)
+        pin(pid, cpu_set)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", count_start)
+    if pin is not None:
+        monkeypatch.setattr(os, "sched_setaffinity", count_pin)
+    manifest = _map_manifest(tmp_path, 8)
+    code, _, _ = _aggregate_in_process(capsys, manifest, "avg", tmp_path / "s.csv", jobs)
+    assert code == 0 and len(started) == forks
+    assert bool(pinned) == (forks > 0 and pin is not None)
+
+
+def test_aggregate_reports_a_worker_that_dies(tmp_path, capsys, monkeypatch, cpus):
     from uqagg import cli
 
+    cpus(2)
     parent = os.getpid()
     score = cli.score_map
 
     def die_in_child(p, strategies):
         if os.getpid() != parent:
             os._exit(9)
+        # This process holds its first piece until the child has claimed one
+        # of the others and died on it.
+        deadline = time.monotonic() + 60
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.005)
         return score(p, strategies)
 
     monkeypatch.setattr(cli, "score_map", die_in_child)

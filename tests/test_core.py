@@ -79,8 +79,9 @@ def test_map_rejects_bad_inputs():
         validate_map([[0.1, 1.2]])
     with pytest.raises(OutOfRange):
         validate_map([[-0.1, 0.2]])
-    # grids that hold no numbers
-    for raw in ("abc", [["0.5", "x"]], [[10**400]]):
+    # grids that hold no real numbers, even where numpy would convert them
+    for raw in ("abc", [["0.5", "x"]], [[10**400]], np.array([["0.5"]]),
+                np.array([[0.5 + 0.5j]]), np.array([[0.5 + 0j]])):
         with pytest.raises(OutOfRange, match="^expected a grid of numbers: "):
             validate_map(raw)
 
@@ -98,7 +99,8 @@ def test_mask_basics():
         as_mask([[-1, 0]])
     with pytest.raises(NonTwoDimensional):
         as_mask([0, 1, 2])
-    for raw in (np.array([["a"]]), None, [[2**70]]):
+    for raw in (np.array([["a"]]), None, [[2**70]], np.array([["1", "2"]]),
+                np.array([[1 + 0j]])):
         with pytest.raises(OutOfRange, match="^expected a grid of numbers: "):
             as_mask(raw)
 
@@ -205,3 +207,17 @@ def test_random_stream_lanes_are_distinct_and_nonzero():
     assert len(lanes) >= 6, lanes
     assert len(set(lanes.values())) == len(lanes), lanes
     assert all(0 < lane < 1 << _LANE_BITS for lane in lanes.values()), lanes
+
+
+def test_random_stream_refuses_a_seed_that_would_share_a_key():
+    from uqagg.errors import InvalidParam
+    from uqagg.rng import stream
+
+    top = stream(2**64 - 1).integers(2**63, size=4)
+    assert not np.array_equal(top, stream(0).integers(2**63, size=4))
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(InvalidParam, match=r"^seed must lie in \[0, 2\*\*64\)"):
+            stream(seed)
+    with pytest.raises(TypeError):
+        stream(1.0)
+    assert np.array_equal(stream(np.uint64(7)).random(3), stream(7).random(3))
