@@ -483,7 +483,7 @@ def _cmd_eval(args) -> int:
          for name, col in zip(names, table.T.copy())),
     )
     io.write_table(f"{args.out_prefix}.samples.csv", names,
-                   ([io._fmt_float(v) for v in row] for row in table))
+                   ([io._fmt_float(v) for v in row] for row in table.tolist()))
     print(
         f"evaluated {metric} for {len(names)} strategies on {len(kept)} samples "
         f"({args.bootstrap} bootstrap resamples)",

@@ -39,7 +39,11 @@ PROB_ROW_TOL = 1e-6
 # sum, the patch means of plm and the 3x3 spatial weights. Rule: one strip's
 # live temporaries fit in a 2 MiB L2 cache. The largest kernel, Moran, keeps
 # 12 strip-sized float64 arrays live beside its input rows and its output,
-# under 16 in all, so 2 MiB / (16 * 8 B) = 16384 pixels.
+# under 16 in all, so 2 MiB / (16 * 8 B) = 16384 pixels. The same budget caps
+# the rank codes of one block of bootstrap resamples in
+# ``evaluation.bootstrap_table``: that block's intp and float64 temporaries
+# stay at 128 KiB each, while blocks of 2**16 codes and more would page in
+# temporaries of 512 KiB and up afresh on every block.
 _STRIP_PIXELS = 16384
 
 

@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import core
 from .core import as_mask
 from .errors import (
     AllZeroDifferences,
@@ -89,15 +90,46 @@ def _midranks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.cumsum(counts, axis=1) - 0.5 * (counts - 1)
 
 
-def _positives(labels: np.ndarray) -> tuple[np.ndarray, int]:
-    """Where the 0/1 ``labels`` are 1, and how many are; raises SingleClass
-    unless both classes appear."""
+def _stacked(x: np.ndarray, target: np.ndarray, x_name: str, target_name: str):
+    """``x`` as a ``(b, s, n)`` stack of b problems and ``target`` as ``(b, n)``.
+
+    A 1-D or ``(s, n)`` ``x`` with a 1-D target is one problem; a
+    ``(b, s, n)`` ``x`` takes one target row per problem. Other shapes raise
+    InvalidParam, and counts that disagree raise LengthMismatch.
+    """
+    if not (target.ndim == 1 and x.ndim in (1, 2) or target.ndim == 2 and x.ndim == 3):
+        raise InvalidParam(
+            f"{x_name} must be 1-D or (s, n) with 1-D {target_name}, "
+            f"or (b, s, n) with (b, n) {target_name}"
+        )
+    n = target.shape[-1]
+    if x.shape[-1] != n:
+        raise LengthMismatch(f"{x.shape[-1]} {x_name} vs {n} {target_name}")
+    if x.ndim == 3 and len(x) != len(target):
+        raise LengthMismatch(
+            f"{len(x)} problems of {x_name} vs {len(target)} rows of {target_name}"
+        )
+    return x.reshape((1,) * (3 - x.ndim) + x.shape), target.reshape(-1, n)
+
+
+def _shaped(values: np.ndarray, ndim: int):
+    """A ``(b, s)`` result shaped like an input of ``ndim`` dimensions: a
+    float for 1-D, one value per row for ``(s, n)``, all of it for ``(b, s, n)``."""
+    return float(values[0, 0]) if ndim == 1 else values[0] if ndim == 2 else values
+
+
+def _positives(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the 0/1 labels of each row of a ``(b, n)`` block are 1, and how
+    many are per row, as a ``(b, 1)`` column; raises SingleClass unless both
+    classes appear in every row."""
     pos = labels == 1
     if not (pos | (labels == 0)).all():
         raise InvalidParam("labels must be 0 or 1")
-    n_pos = int(pos.sum())
-    if n_pos == 0 or n_pos == len(labels):
-        raise SingleClass(f"need both classes, got {n_pos} positives of {len(labels)}")
+    n = labels.shape[-1]
+    n_pos = pos.sum(axis=-1, keepdims=True)
+    if n_pos.min() == 0 or n_pos.max() == n:
+        one_class = n_pos[(n_pos == 0) | (n_pos == n)][0]
+        raise SingleClass(f"need both classes, got {one_class} positives of {n}")
     return pos, n_pos
 
 
@@ -107,31 +139,30 @@ def auroc(scores, labels):
     ``labels`` are 0/1 with 1 the positive class; both classes must appear.
     ``scores`` is one score per label, or an ``(s, n)`` block with one row of
     scores per strategy: a 1-D input returns a float, a block one value per
-    row. Integer scores are taken as they are, never cast to float; values in
-    [0, n) serve directly as the rank codes of :func:`bootstrap_table`. A NaN
-    score raises NonFinite.
+    row. A ``(b, s, n)`` stack of b such blocks, with ``(b, n)`` labels (one
+    row per block, each holding both classes), returns ``(b, s)``: entry
+    ``(i, j)`` is byte-identical to the 1-D call on row j of block i with
+    label row i. Integer scores are taken as they are, never cast to float;
+    values in [0, n) serve directly as the rank codes of
+    :func:`bootstrap_table`. A NaN score raises NonFinite.
     """
     scores = _numeric(scores)
-    labels = np.asarray(labels)
-    if scores.ndim not in (1, 2) or labels.ndim != 1:
-        raise InvalidParam("scores must be 1-D or (s, n) and labels 1-D")
-    n = len(labels)
-    if scores.shape[-1] != n:
-        raise LengthMismatch(f"{scores.shape[-1]} scores vs {n} labels")
+    stack, labels = _stacked(scores, np.asarray(labels), "scores", "labels")
+    b, s, n = stack.shape
     pos, n_pos = _positives(labels)
-    n_neg = n - n_pos
-    codes = scores.reshape(-1, n)
+    codes = stack.reshape(-1, n)
     in_range = 0 <= codes.min(initial=0) and codes.max(initial=0) < n
     if scores.dtype.kind == "f" or not in_range:
         codes = _codes(codes)
-    # Per code: its midrank and how many of its samples are positive. Rank
-    # sums are sums of half-integer products <= n^2, exact in any summation
-    # order.
+    # Each row's rank sum over its block's positives: the positives of all
+    # blocks lie side by side in each strategy's row, n_pos[i] of block i.
+    # Rank sums are sums of half-integers <= n, exact in any summation order.
     keys, midranks = _midranks(codes)
-    positives = np.bincount(keys[:, pos].ravel(), minlength=keys.size).reshape(-1, n)
-    rank_sums = (positives * midranks).sum(axis=1)
-    values = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return float(values[0]) if scores.ndim == 1 else values
+    positive_keys = keys.reshape(b, s, n).swapaxes(0, 1)[:, pos]
+    firsts = np.cumsum(n_pos) - n_pos[:, 0]
+    rank_sums = np.add.reduceat(midranks.ravel()[positive_keys], firsts, axis=1).T
+    values = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos))
+    return _shaped(values, scores.ndim)
 
 
 def dice(pred, gt, mode: str = "micro") -> float:
@@ -175,42 +206,49 @@ class RiskCoverageCurve:
     thresholds: np.ndarray  # ascending distinct confidence values
 
 
-def _check_curve_inputs(risks, confidences) -> tuple[np.ndarray, np.ndarray]:
-    risks = np.asarray(risks, dtype=np.float64)
+def _check_curve_inputs(risks, confidences):
+    """The risks as ``(b, n)`` rows and the confidences as a ``(b, s, n)``
+    stack (see :func:`_stacked`), and the number of dimensions the
+    confidences came in. Raises EmptyInput for no samples, and NonFinite for
+    a NaN confidence or a NaN or infinite risk."""
     confidences = _numeric(confidences)
-    if risks.ndim != 1 or confidences.ndim not in (1, 2):
-        raise InvalidParam("risks must be 1-D and confidences 1-D or (s, n)")
-    if confidences.shape[-1] != len(risks):
-        raise LengthMismatch(
-            f"{len(risks)} risks vs {confidences.shape[-1]} confidences"
-        )
-    if len(risks) == 0:
+    stack, risks = _stacked(confidences, np.asarray(risks, dtype=np.float64),
+                            "confidences", "risks")
+    if risks.shape[-1] == 0:
         raise EmptyInput("risk-coverage needs at least one sample")
-    return risks, confidences
+    if not np.isfinite(risks).all():
+        raise NonFinite("risks must be finite")
+    return risks, stack, confidences.ndim
 
 
 def _working_points(risks: np.ndarray, confidences: np.ndarray):
-    """Risk-coverage working points of every row of an ``(s, n)`` block.
+    """Risk-coverage working points of every row of a ``(b, s, n)`` stack,
+    the rows of block i scored against ``risks[i]``.
 
-    Returns ``(bounds, coverages, risks, thresholds)`` with the points of all
-    rows concatenated: row r's points are ``[bounds[r], bounds[r + 1])``, in
-    ascending threshold order.
+    Returns ``(bounds, starts, coverages, risks)`` with the points of all
+    b * s rows concatenated, block by block: row r's points are
+    ``[bounds[r], bounds[r + 1])``, in ascending threshold order, and
+    ``starts`` says where each threshold first appears in its sorted row.
     """
-    n = confidences.shape[-1]
-    order = np.argsort(confidences, axis=-1, kind="stable")
-    sorted_conf = np.take_along_axis(confidences, order, axis=-1)
+    b, s, n = confidences.shape
+    conf = confidences.reshape(-1, n)
+    order = np.argsort(conf, axis=-1, kind="stable")
+    # Flat offsets gather each row's values, and its block's risks, in one
+    # step; take_along_axis would build a two-index gather.
+    sorted_conf = conf.ravel()[order + np.arange(0, conf.size, n)[:, None]]
+    at = order.reshape(b, s, n) + np.arange(0, b * n, n)[:, None, None]
     # suffix_sum[r, i] = total risk of row r's samples with the i-th smallest
     # confidence or larger; distinct thresholds are the first positions of
     # each run.
-    suffix_sum = np.cumsum(risks[order][:, ::-1], axis=-1)[:, ::-1]
-    first = np.ones(confidences.shape, dtype=bool)
+    suffix_sum = np.cumsum(risks.ravel()[at].reshape(-1, n)[:, ::-1], axis=-1)[:, ::-1]
+    first = np.ones(conf.shape, dtype=bool)
     first[:, 1:] = sorted_conf[:, 1:] != sorted_conf[:, :-1]
-    rows, starts = np.nonzero(first)
-    bounds = np.zeros(len(confidences) + 1, dtype=np.intp)
-    np.cumsum(first.sum(axis=-1), out=bounds[1:])
+    points = np.flatnonzero(first)
+    bounds = np.searchsorted(points, np.arange(0, conf.size + 1, n))
+    starts = points % n
     coverages = (n - starts) / n
-    sel_risks = suffix_sum[rows, starts] / (n - starts)
-    return bounds, coverages, sel_risks, sorted_conf[rows, starts]
+    sel_risks = suffix_sum.ravel()[points] / (n - starts)
+    return bounds, starts, coverages, sel_risks
 
 
 def risk_coverage(risks, confidences) -> RiskCoverageCurve:
@@ -218,12 +256,13 @@ def risk_coverage(risks, confidences) -> RiskCoverageCurve:
 
     At threshold t the samples with confidence >= t are retained; tied
     confidences are retained or dropped together. The first point always has
-    coverage 1.
+    coverage 1. NaN or infinite risks and NaN confidences raise NonFinite.
     """
-    risks, confidences = _check_curve_inputs(risks, confidences)
-    if confidences.ndim != 1:
+    risks, stack, ndim = _check_curve_inputs(risks, confidences)
+    if ndim != 1:
         raise InvalidParam("risks and confidences must be 1-D")
-    _, coverages, sel_risks, thresholds = _working_points(risks, confidences[None])
+    _, starts, coverages, sel_risks = _working_points(risks, stack)
+    thresholds = np.sort(stack[0, 0], kind="stable")[starts]
     return RiskCoverageCurve(coverages, sel_risks, thresholds)
 
 
@@ -241,13 +280,41 @@ def aurc(curve: RiskCoverageCurve) -> float:
     return float(_segment_areas(curve.coverages, curve.risks).sum())
 
 
+def _row_sums(areas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of each row's segments ``areas[bounds[r]:bounds[r + 1] - 1]``.
+
+    The last segment of a row would join it to the next row, so it is left
+    out. Every row must sum in the order of a lone curve's 1-D sum: rows with
+    the same number of segments are gathered into one contiguous ``(k, L)``
+    block, whose sum along axis 1 runs numpy's pairwise sum over each row
+    just as the 1-D sum does. A row alone in its group sums its slice.
+    """
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts - 1
+    by_length = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
+    # Group edges: lengths are >= 0, so the -1 pads open the first group and
+    # close the last.
+    padded = np.concatenate(([-1], sorted_lengths, [-1]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    out = np.empty(len(starts))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        count = int(sorted_lengths[lo])
+        if hi - lo == 1:
+            row = int(by_length[lo])
+            out[row] = areas[starts[row]:starts[row] + count].sum()
+        else:
+            rows = by_length[lo:hi]
+            out[rows] = areas[starts[rows][:, None] + np.arange(count)].sum(axis=1)
+    return out
+
+
 def _aurc_rows(risks: np.ndarray, confidences: np.ndarray) -> np.ndarray:
-    bounds, coverages, sel_risks, _ = _working_points(risks, confidences)
+    """AURC of every row of a ``(b, s, n)`` stack against its block's risks,
+    as ``(b, s)``."""
+    bounds, _, coverages, sel_risks = _working_points(risks, confidences)
     areas = _segment_areas(coverages, sel_risks)
-    # One 1-D sum per row over its own segments (the last segment of a row
-    # would join it to the next row), so every row sums in the same order as
-    # a lone curve; a 2-D or masked sum would block the additions differently.
-    return np.array([areas[lo:hi - 1].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return _row_sums(areas, bounds).reshape(confidences.shape[:2])
 
 
 def eaurc(risks, confidences):
@@ -258,17 +325,20 @@ def eaurc(risks, confidences):
     confidences collapse the curve to fewer points can undercount area and
     go negative. Float noise above -1e-12 is clamped to zero.
     ``confidences`` is one value per risk, or an ``(s, n)`` block with one row
-    per strategy: a 1-D input returns a float, a block one value per row. The
-    oracle curve is built once per call. Integer confidences, such as the rank
-    codes of :func:`bootstrap_table`, are taken as they are, never cast to
-    float: only their order and ties enter the curve. A NaN confidence raises
-    NonFinite, here and in :func:`risk_coverage`.
+    per strategy: a 1-D input returns a float, a block one value per row. A
+    ``(b, s, n)`` stack of b such blocks, with ``(b, n)`` risks (one row per
+    block), returns ``(b, s)``: entry ``(i, j)`` is byte-identical to the 1-D
+    call on risk row i and row j of block i. The oracle curves are built in
+    one float sort per call. Integer confidences, such as the rank codes of
+    :func:`bootstrap_table`, are taken as they are, never cast to float: only
+    their order and ties enter the curve. A NaN confidence, or a NaN or
+    infinite risk, raises NonFinite, here and in :func:`risk_coverage`.
     """
-    risks, confidences = _check_curve_inputs(risks, confidences)
-    oracle = _aurc_rows(risks, -risks[None])[0]
-    values = _aurc_rows(risks, np.atleast_2d(confidences)) - oracle
+    risks, stack, ndim = _check_curve_inputs(risks, confidences)
+    oracle = _aurc_rows(risks, -risks[:, None, :])
+    values = _aurc_rows(risks, stack) - oracle
     values[(-1e-12 < values) & (values < 0.0)] = 0.0
-    return float(values[0]) if confidences.ndim == 1 else values
+    return _shaped(values, ndim)
 
 
 def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
@@ -284,13 +354,15 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     strategies, so the columns are aligned for paired tests. Resamples that
     break a metric precondition (single class for AUROC) are redrawn from the
     same iteration stream, at most 100 times; labels of one class raise
-    SingleClass before any draw. Each resample is one metric call on the block
-    of its columns.
+    SingleClass before any draw, and so do NaN or infinite risks NonFinite.
 
     The scores (for ``eaurc`` the confidences) are turned into integer rank
     codes once per call. A resample only repeats values of the full sample,
     so the codes of its columns keep every order and tie the metric sees, and
-    no resample sorts floats.
+    no resample sorts floats. Consecutive resamples are scored in blocks of
+    at most ``core._STRIP_PIXELS`` codes (one resample at least), each block
+    one call of the stacked ``(m, s, n)`` form of the metric; its values are
+    byte-identical to one call per resample.
     """
     if metric not in ("auroc", "eaurc"):
         raise InvalidParam(f"metric must be 'auroc' or 'eaurc', got {metric!r}")
@@ -301,31 +373,39 @@ def bootstrap_table(scores, target, metric: str, b: int = DEFAULT_BOOTSTRAP,
     target = np.asarray(target)
     if scores.ndim != 2 or target.ndim != 1:
         raise InvalidParam("scores must be (s, n) and target 1-D")
-    if scores.shape[1] != len(target):
-        raise LengthMismatch(f"{scores.shape[1]} score columns vs {len(target)} targets")
-    n = len(target)
+    s, n = scores.shape
+    if n != len(target):
+        raise LengthMismatch(f"{n} score columns vs {len(target)} targets")
     if n == 0:
         raise EmptyInput("no samples to evaluate")
     if metric == "auroc":
-        _positives(target)  # a sample of one class has no resample of two
+        _positives(target[None])  # a sample of one class has no resample of two
+    else:
+        target = _check_curve_inputs(target, scores)[0][0]  # finite float64 risks
     codes = _codes(-scores if metric == "eaurc" else scores)
-    out = np.empty((b, len(scores)), dtype=np.float64)
-    for i in range(b):
-        rng = stream(seed, _LANE_BOOTSTRAP, i)
-        for _ in range(_REDRAW_LIMIT + 1):
-            idx = rng.integers(0, n, size=n)
-            if metric == "eaurc":
-                out[i] = eaurc(target[idx], codes[:, idx])
-                break
-            labels = target[idx]
-            if labels.min() != labels.max():
-                out[i] = auroc(codes[:, idx], labels)
-                break
+    out = np.empty((b, s), dtype=np.float64)
+    per_block = max(1, core._STRIP_PIXELS // (max(s, 1) * n))
+    for lo in range(0, b, per_block):
+        draws = []
+        for i in range(lo, min(lo + per_block, b)):
+            rng = stream(seed, _LANE_BOOTSTRAP, i)
+            for _ in range(_REDRAW_LIMIT + 1):
+                draw = rng.integers(0, n, size=n)
+                # the labels are 0/1: both classes unless all or none are 1
+                if metric == "eaurc" or 0 < np.count_nonzero(target[draw]) < n:
+                    break
+            else:
+                raise SingleClass(
+                    f"bootstrap iteration {i}: no valid resample in "
+                    f"{_REDRAW_LIMIT} redraws"
+                )
+            draws.append(draw)
+        block = np.array(draws)
+        stack = codes[:, block].swapaxes(0, 1)
+        if metric == "eaurc":
+            out[lo:lo + len(block)] = eaurc(target[block], stack)
         else:
-            raise SingleClass(
-                f"bootstrap iteration {i}: no valid resample in "
-                f"{_REDRAW_LIMIT} redraws"
-            )
+            out[lo:lo + len(block)] = auroc(stack, target[block])
     return out
 
 

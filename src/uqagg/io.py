@@ -259,7 +259,7 @@ def write_scores(path, sample_ids, strategy_names, values) -> None:
         )
     write_table(path, ["sample_id", *strategy_names], (
         [sid, *("" if math.isnan(v) else _fmt_float(v) for v in row)]
-        for sid, row in zip(sample_ids, arr)
+        for sid, row in zip(sample_ids, arr.tolist())
     ))
 
 

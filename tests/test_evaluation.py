@@ -19,7 +19,7 @@ from uqagg import (
     significance_matrix,
     wilcoxon_one_sided,
 )
-from uqagg import evaluation
+from uqagg import core, evaluation
 from uqagg.evaluation import _codes, _rankdata
 from uqagg.rng import stream
 from uqagg.errors import (
@@ -294,6 +294,44 @@ def test_auroc_and_eaurc_blocks_equal_row_calls():
     assert got.shape == (len(block),)
     assert got.tobytes() == np.array([eaurc(risks, row) for row in block]).tobytes()
     assert got[4] == 0.0
+    # A (b, s, n) stack of resamples with (b, n) targets: entry (i, j) is the
+    # 1-D call on problem i, strategy j. The draws repeat samples, so rows
+    # share thresholds and segment counts, as in the bootstrap.
+    idx = rng.integers(0, n, size=(6, n))
+    stack = block[:, idx].swapaxes(0, 1)
+    got = auroc(stack, labels[idx])
+    assert got.shape == (6, len(block))
+    assert got.tobytes() == np.array([
+        [auroc(row, labels[i]) for row in stack[k]] for k, i in enumerate(idx)
+    ]).tobytes()
+    got = eaurc(risks[idx], stack)
+    assert got.shape == (6, len(block))
+    assert got.tobytes() == np.array([
+        [eaurc(risks[i], row) for row in stack[k]] for k, i in enumerate(idx)
+    ]).tobytes()
+    assert (got[:, 4] == 0.0).all()
+
+
+def test_stacked_auroc_and_eaurc_refusals():
+    stack = np.arange(24.0).reshape(2, 3, 4)
+    labels = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
+    risks = np.full((2, 4), 0.5)
+    with pytest.raises(InvalidParam):
+        auroc(stack[0], labels)            # (b, n) labels need (b, s, n) scores
+    with pytest.raises(InvalidParam):
+        eaurc(risks, stack[0])
+    with pytest.raises(InvalidParam):
+        auroc(stack, labels[0])            # and (b, s, n) scores (b, n) labels
+    with pytest.raises(SingleClass, match="^need both classes, got 4 positives of 4$"):
+        auroc(stack, np.array([[0, 1, 0, 1], [1, 1, 1, 1]]))
+    with pytest.raises(LengthMismatch):
+        auroc(stack[:, :, :3], labels)
+    with pytest.raises(LengthMismatch):
+        eaurc(risks[:, :3], stack)
+    with pytest.raises(LengthMismatch):
+        auroc(stack[:1], labels)           # one block of scores, two label rows
+    with pytest.raises(LengthMismatch):
+        eaurc(risks, stack[:1])
 
 
 def test_eaurc_block_clamps_float_noise():
@@ -599,6 +637,25 @@ def test_every_metric_refuses_nan_scores():
     assert eaurc([0.1, 0.9, 0.5], [math.inf, 0.0, 0.2]) >= 0.0
 
 
+def test_curves_refuse_non_finite_risks():
+    # A NaN risk would turn its curve's points, and every E-AURC, into NaN.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite, match="^risks must be finite$"):
+            eaurc([bad, 0.1, 0.5], [0.2, 0.3, 0.1])
+        with pytest.raises(NonFinite, match="^risks must be finite$"):
+            risk_coverage([bad, 0.1, 0.5], [0.2, 0.3, 0.1])
+        with pytest.raises(NonFinite, match="^risks must be finite$"):
+            bootstrap_table([[0.2, 0.3, 0.1]], [bad, 0.1, 0.5], "eaurc", b=3)
+
+
+def test_bootstrap_refuses_non_finite_risks_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(evaluation, "stream", lambda *key: draws.append(key))
+    with pytest.raises(NonFinite):
+        bootstrap_table([[0.2, 0.3, 0.1]], [math.nan, 0.1, 0.5], "eaurc", b=3)
+    assert draws == []
+
+
 def test_bootstrap_eaurc_of_unsigned_scores_equals_float_scores():
     # eaurc negates the scores, and in uint8 the negation of 1 wraps to 255
     scores = np.array([[0, 1, 2, 3, 4, 5], [5, 1, 4, 0, 3, 2]], dtype=np.uint8)
@@ -608,10 +665,10 @@ def test_bootstrap_eaurc_of_unsigned_scores_equals_float_scores():
     assert got.tobytes() == want.tobytes()
 
 
-def test_bootstrap_calls_stream_and_metric_once_per_resample(monkeypatch):
+def test_bootstrap_calls_stream_per_resample_and_metric_per_block(monkeypatch):
     # The benchmark's tracer times the metric and the stream through these
-    # module globals, once per resample; a refactor that bypasses them
-    # leaves its spans empty.
+    # module globals: the stream once per resample, the metric once per block
+    # of resamples. A refactor that bypasses them leaves its spans empty.
     calls = collections.Counter()
 
     def counting(name):
@@ -626,11 +683,59 @@ def test_bootstrap_calls_stream_and_metric_once_per_resample(monkeypatch):
         monkeypatch.setattr(evaluation, name, counting(name))
     scores = np.round(np.random.default_rng(44).random((2, 8)), 1)
     labels = (np.arange(8) == 0).astype(int)   # redraws reuse the iteration's stream
-    bootstrap_table(scores, labels, "auroc", b=30, seed=1)
-    assert calls == {"stream": 30, "auroc": 30}
-    calls.clear()
-    bootstrap_table(scores, np.linspace(0.0, 1.0, 8), "eaurc", b=30, seed=1)
-    assert calls == {"stream": 30, "eaurc": 30}
+    risks = np.linspace(0.0, 1.0, 8)
+    for per_block, blocks in ((None, 1), (1, 30)):
+        if per_block is not None:
+            monkeypatch.setattr(core, "_STRIP_PIXELS", per_block * scores.size)
+        calls.clear()
+        bootstrap_table(scores, labels, "auroc", b=30, seed=1)
+        assert calls == {"stream": 30, "auroc": blocks}
+        calls.clear()
+        bootstrap_table(scores, risks, "eaurc", b=30, seed=1)
+        assert calls == {"stream": 30, "eaurc": blocks}
+
+
+def test_bootstrap_bytes_do_not_depend_on_blocks(monkeypatch):
+    rng = np.random.default_rng(45)
+    scores = np.round(rng.random((3, 8)), 1)
+    labels = (np.arange(8) == 5).astype(int)   # one positive in eight: redraws
+    risks = np.round(rng.random(8), 1)
+    b = 40
+    want = {metric: bootstrap_table(scores, target, metric, b=b, seed=12)
+            for metric, target in (("auroc", labels), ("eaurc", risks))}
+    ref, redraws = _bootstrap_reference(scores, labels, "auroc", b, 12)
+    assert redraws > 3 and want["auroc"].tobytes() == ref.tobytes()
+    for per_block in (1, 2, 3, b):
+        monkeypatch.setattr(core, "_STRIP_PIXELS", per_block * scores.size)
+        for metric, target in (("auroc", labels), ("eaurc", risks)):
+            got = bootstrap_table(scores, target, metric, b=b, seed=12)
+            assert got.tobytes() == want[metric].tobytes()
+
+
+def _first_exhausted_iteration(labels, seed, limit):
+    # The first iteration whose 1 + limit draws all hold a single class.
+    n = len(labels)
+    for i in itertools.count():
+        rng = stream(seed, 21, i)
+        draws = [labels[rng.integers(0, n, size=n)] for _ in range(limit + 1)]
+        if all(d.min() == d.max() for d in draws):
+            return i
+
+
+def test_bootstrap_redraw_failure_is_the_same_in_every_block(monkeypatch):
+    # With one redraw allowed, some iteration runs out of draws; its number
+    # and message must not depend on where it falls in a block.
+    monkeypatch.setattr(evaluation, "_REDRAW_LIMIT", 1)
+    scores = np.arange(16.0).reshape(2, 8)
+    labels = (np.arange(8) < 1).astype(int)
+    failing = _first_exhausted_iteration(labels, 3, 1)
+    assert 2 < failing < 60
+    message = f"^bootstrap iteration {failing}: no valid resample in 1 redraws$"
+    for per_block in (1, 2, 3, 64):
+        monkeypatch.setattr(core, "_STRIP_PIXELS", per_block * scores.size)
+        with pytest.raises(SingleClass, match=message):
+            bootstrap_table(scores, labels, "auroc", b=64, seed=3)
+        bootstrap_table(scores, labels, "auroc", b=failing, seed=3)
 
 
 # ---------------------------------------------------------------------------
