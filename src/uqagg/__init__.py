@@ -13,6 +13,8 @@ single scalar usable for out-of-distribution detection or failure detection:
   ranks) and synthetic benchmark generators for exercising all of the above.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     ProbabilityStack,
     SegmentationMask,
@@ -31,12 +33,9 @@ from .errors import (
     EmptyInput,
     FeatureMismatch,
     FortranOrderUnsupported,
-    InvalidEpsilon,
     InvalidParam,
-    InvalidQuantile,
     InvalidSpec,
     InvalidStack,
-    InvalidThreshold,
     LengthMismatch,
     MaskRequired,
     MissingColumn,
@@ -134,105 +133,6 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllZeroDifferences",
-    "BadMagic",
-    "Benchmark",
-    "BenchmarkSample",
-    "DuplicateColumn",
-    "DuplicateId",
-    "DuplicateStrategy",
-    "EmptyGrid",
-    "EmptyInput",
-    "FULL_SET",
-    "FeatureMismatch",
-    "FeatureSetSpec",
-    "FortranOrderUnsupported",
-    "GmmModel",
-    "INTENSITY_SET",
-    "InvalidEpsilon",
-    "InvalidParam",
-    "InvalidQuantile",
-    "InvalidSpec",
-    "InvalidStack",
-    "InvalidThreshold",
-    "LengthMismatch",
-    "Manifest",
-    "ManifestRow",
-    "MaskRequired",
-    "MissingColumn",
-    "MissingFile",
-    "NoForeground",
-    "NonFinite",
-    "NonTwoDimensional",
-    "OutOfRange",
-    "ParseError",
-    "PatchTooLarge",
-    "ProbabilityStack",
-    "RiskCoverageCurve",
-    "SPATIAL_SET",
-    "SegmentationMask",
-    "ShapeMismatch",
-    "SingleClass",
-    "SingularCovariance",
-    "Strategy",
-    "StrategySetMismatch",
-    "SynthSpec",
-    "TooFewSamples",
-    "TruncatedPayload",
-    "UncertaintyMap",
-    "UnknownStrategy",
-    "UnsupportedDtype",
-    "UqaggError",
-    "WeightMap",
-    "aqa",
-    "as_mask",
-    "ata",
-    "auroc",
-    "aurc",
-    "avg",
-    "bca",
-    "bic",
-    "bootstrap_table",
-    "compute_features",
-    "dice",
-    "eaurc",
-    "eds",
-    "em_fit",
-    "ent",
-    "entropy_uncertainty",
-    "epsilon_rescale",
-    "expected_mean",
-    "fit_meta",
-    "gen_benchmark",
-    "generate",
-    "ica",
-    "load_model",
-    "mean_rank",
-    "meta_score_matrix",
-    "model_from_json",
-    "model_to_json",
-    "mor",
-    "parse_strategy",
-    "parse_strategy_list",
-    "pattern_mask",
-    "plm",
-    "qfr",
-    "read_manifest",
-    "read_npy",
-    "read_scores",
-    "risk_coverage",
-    "save_model",
-    "significance_matrix",
-    "smr",
-    "spatial_decompose",
-    "spatial_weight_map",
-    "standardize_apply",
-    "standardize_fit",
-    "stream",
-    "validate_map",
-    "wilcoxon_one_sided",
-    "write_manifest",
-    "write_npy",
-    "write_scores",
-]
+# Public: every name the imports above bind, less the submodules they bind.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

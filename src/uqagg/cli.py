@@ -546,8 +546,8 @@ _SPEC_KEYS = {
     "iid": (_ENTRY_KEYS, _REQUIRED), "ood": (_ENTRY_KEYS, _REQUIRED),
     "n_iid": (int, 50), "n_ood": (int, 50), "size": ((list, int), [64, 64]),
     "seed": (int, 0), "with_masks": (bool, False), "match_means": (bool, False),
-    "ladder": ((list, float), None), "risk_slope": (float, 0.6),
-    "risk_noise": (float, 0.05),
+    "ladder": ((list, float), None), "risk_slope": (float, synth.DEFAULT_RISK_SLOPE),
+    "risk_noise": (float, synth.DEFAULT_RISK_NOISE),
 }
 _JSON_NAMES = {dict: "object", list: "list", str: "string", int: "integer",
                float: "number", bool: "boolean"}

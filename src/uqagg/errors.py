@@ -50,14 +50,6 @@ class PatchTooLarge(UqaggError):
     """Requested patch exceeds the map extent."""
 
 
-class InvalidThreshold(UqaggError):
-    """Threshold outside the closed interval [0, 1]."""
-
-
-class InvalidQuantile(UqaggError):
-    """Quantile outside the closed interval [0, 1]."""
-
-
 class NoForeground(UqaggError):
     """Mask contains only background pixels."""
 
@@ -80,10 +72,6 @@ class DuplicateStrategy(UqaggError):
 
 # ---------------------------------------------------------------------------
 # mixture-model meta-aggregation
-
-
-class InvalidEpsilon(UqaggError):
-    """Rescaling epsilon outside the open interval (0, 0.5)."""
 
 
 class TooFewSamples(UqaggError):

@@ -203,7 +203,6 @@ class RiskCoverageCurve:
 
     coverages: np.ndarray   # fraction of samples retained
     risks: np.ndarray       # mean risk over the retained samples
-    thresholds: np.ndarray  # ascending distinct confidence values
 
 
 def _check_curve_inputs(risks, confidences):
@@ -225,10 +224,9 @@ def _working_points(risks: np.ndarray, confidences: np.ndarray):
     """Risk-coverage working points of every row of a ``(b, s, n)`` stack,
     the rows of block i scored against ``risks[i]``.
 
-    Returns ``(bounds, starts, coverages, risks)`` with the points of all
-    b * s rows concatenated, block by block: row r's points are
-    ``[bounds[r], bounds[r + 1])``, in ascending threshold order, and
-    ``starts`` says where each threshold first appears in its sorted row.
+    Returns ``(bounds, coverages, risks)`` with the points of all b * s rows
+    concatenated, block by block: row r's points are
+    ``[bounds[r], bounds[r + 1])``, in ascending threshold order.
     """
     b, s, n = confidences.shape
     conf = confidences.reshape(-1, n)
@@ -248,7 +246,7 @@ def _working_points(risks: np.ndarray, confidences: np.ndarray):
     starts = points % n
     coverages = (n - starts) / n
     sel_risks = suffix_sum.ravel()[points] / (n - starts)
-    return bounds, starts, coverages, sel_risks
+    return bounds, coverages, sel_risks
 
 
 def risk_coverage(risks, confidences) -> RiskCoverageCurve:
@@ -261,9 +259,8 @@ def risk_coverage(risks, confidences) -> RiskCoverageCurve:
     risks, stack, ndim = _check_curve_inputs(risks, confidences)
     if ndim != 1:
         raise InvalidParam("risks and confidences must be 1-D")
-    _, starts, coverages, sel_risks = _working_points(risks, stack)
-    thresholds = np.sort(stack[0, 0], kind="stable")[starts]
-    return RiskCoverageCurve(coverages, sel_risks, thresholds)
+    _, coverages, sel_risks = _working_points(risks, stack)
+    return RiskCoverageCurve(coverages, sel_risks)
 
 
 def _segment_areas(coverages: np.ndarray, risks: np.ndarray) -> np.ndarray:
@@ -312,7 +309,7 @@ def _row_sums(areas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _aurc_rows(risks: np.ndarray, confidences: np.ndarray) -> np.ndarray:
     """AURC of every row of a ``(b, s, n)`` stack against its block's risks,
     as ``(b, s)``."""
-    bounds, _, coverages, sel_risks = _working_points(risks, confidences)
+    bounds, coverages, sel_risks = _working_points(risks, confidences)
     areas = _segment_areas(coverages, sel_risks)
     return _row_sums(areas, bounds).reshape(confidences.shape[:2])
 
@@ -414,15 +411,17 @@ def wilcoxon_one_sided(d) -> float:
     ``d`` (a - b) are positive, i.e. that a exceeds b.
 
     Zero differences are discarded; if all are zero the test is undefined and
-    AllZeroDifferences is raised. Up to n = 25 the p-value is exact over all
-    2^n sign assignments; beyond that a tie-corrected normal approximation
-    with a 0.5 continuity correction is used.
+    AllZeroDifferences is raised. A NaN difference raises NonFinite. Up to
+    n = 25 the p-value is exact over all 2^n sign assignments; beyond that a
+    tie-corrected normal approximation with a 0.5 continuity correction is used.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1:
         raise InvalidParam("differences must be 1-D")
     if d.size == 0:
         raise EmptyInput("no differences to test")
+    if np.isnan(d).any():
+        raise NonFinite("differences contain NaN")
     d = d[d != 0.0]
     if d.size == 0:
         raise AllZeroDifferences("every paired difference is zero")
@@ -462,7 +461,8 @@ def mean_rank(tables: Mapping[str, Mapping[str, float]],
 
     ``tables`` maps dataset name -> (strategy -> metric value). Every dataset
     must cover the same strategies. ``direction`` says whether higher or
-    lower metric values are better; ties share an averaged rank.
+    lower metric values are better; ties share an averaged rank. A NaN
+    value has no rank and raises NonFinite.
     """
     if direction not in ("higher", "lower"):
         raise InvalidParam(f"direction must be 'higher' or 'lower', got {direction!r}")
@@ -480,6 +480,9 @@ def mean_rank(tables: Mapping[str, Mapping[str, float]],
     totals = np.zeros(len(strategies))
     for name in datasets:
         values = np.array([float(tables[name][s]) for s in strategies])
+        if np.isnan(values).any():
+            bad = strategies[int(np.flatnonzero(np.isnan(values))[0])]
+            raise NonFinite(f"dataset {name!r} holds NaN for strategy {bad!r}")
         keyed = -values if direction == "higher" else values
         totals += _rankdata(keyed)
     return {s: float(t / len(datasets)) for s, t in zip(strategies, totals)}
@@ -493,7 +496,7 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     (A, B) tests whether A's values exceed B's (or fall below, for
     direction='lower'). Pairs with no nonzero difference, including the
     diagonal, are reported as 1.0; one warning per call counts the off-diagonal
-    ones and names the first few.
+    ones and names the first few. A NaN sample raises NonFinite.
     """
     if direction not in ("higher", "lower"):
         raise InvalidParam(f"direction must be 'higher' or 'lower', got {direction!r}")
@@ -505,6 +508,8 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     for name, v in zip(names, vectors):
         if len(v) != length:
             raise LengthMismatch(f"strategy {name!r} has {len(v)} samples, not {length}")
+        if np.isnan(v).any():
+            raise NonFinite(f"strategy {name!r} has a NaN sample")
     p = np.ones((len(names), len(names)))
     tied = []
     for i, vi in enumerate(vectors):

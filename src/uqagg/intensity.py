@@ -22,13 +22,7 @@ import math
 import numpy as np
 
 from .core import _row_strips, as_pass
-from .errors import (
-    InvalidParam,
-    InvalidQuantile,
-    InvalidThreshold,
-    NoForeground,
-    PatchTooLarge,
-)
+from .errors import InvalidParam, NoForeground, PatchTooLarge
 
 # Counts k = ceil(x) snap down when x sits within this slack of an integer, so
 # float artifacts like (1 - 0.6) * 10 = 4.000000000000001 keep the intended k.
@@ -50,14 +44,14 @@ def check_patch(patch) -> int:
 def check_threshold(threshold) -> float:
     """``threshold`` when it is a valid ata threshold, in [0, 1]."""
     if not (0.0 <= threshold <= 1.0):
-        raise InvalidThreshold(f"ata threshold must lie in [0, 1], got {threshold!r}")
+        raise InvalidParam(f"ata threshold must lie in [0, 1], got {threshold!r}")
     return threshold
 
 
 def check_quantile(q) -> float:
     """``q`` when it is a valid aqa quantile, in [0, 1]."""
     if not (0.0 <= q <= 1.0):
-        raise InvalidQuantile(f"aqa quantile must lie in [0, 1], got {q!r}")
+        raise InvalidParam(f"aqa quantile must lie in [0, 1], got {q!r}")
     return q
 
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     FeatureMismatch,
-    InvalidEpsilon,
     InvalidParam,
     NonFinite,
     OutOfRange,
@@ -90,7 +89,7 @@ def epsilon_rescale(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     pin a mixture component onto a degenerate edge.
     """
     if not (0.0 < epsilon < 0.5):
-        raise InvalidEpsilon(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+        raise InvalidParam(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFinite("features contain NaN or infinity")
@@ -414,6 +413,17 @@ def _emit(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# The model file's fields after "feature_spec", in file order: (JSON key,
+# GmmModel attribute, _json_field kind). "K" is GmmModel.k, the weights' count.
+_MODEL_FIELDS = (
+    ("epsilon", "epsilon", float), ("feat_mean", "feat_mean", np.ndarray),
+    ("feat_std", "feat_std", np.ndarray), ("K", "k", int),
+    ("pi", "weights", np.ndarray), ("mu", "means", np.ndarray),
+    ("sigma", "covariances", np.ndarray), ("seed", "seed", int),
+    ("n_train", "n_train", int), ("bic", "bic", float), ("loglik", "loglik", float),
+)
+
+
 def model_to_json(model: GmmModel) -> str:
     doc = {
         "version": _MODEL_VERSION,
@@ -421,18 +431,8 @@ def model_to_json(model: GmmModel) -> str:
             "variant": model.feature_spec.variant,
             "strategies": list(model.feature_spec.strategies),
         },
-        "epsilon": model.epsilon,
-        "feat_mean": model.feat_mean,
-        "feat_std": model.feat_std,
-        "K": model.k,
-        "pi": model.weights,
-        "mu": model.means,
-        "sigma": model.covariances,
-        "seed": model.seed,
-        "n_train": model.n_train,
-        "bic": model.bic,
-        "loglik": model.loglik,
     }
+    doc.update((key, getattr(model, attr)) for key, attr, _ in _MODEL_FIELDS)
     return _emit(doc) + "\n"
 
 
@@ -450,7 +450,7 @@ def model_from_json(text: str) -> GmmModel:
     return _model_from_doc(doc)
 
 
-def _json_field(doc: dict, field: str, kind=float):
+def _json_field(doc: dict, field: str, kind):
     """``doc[field]`` as ``kind``: int for a JSON integer, float for any finite
     JSON number, np.ndarray (float64) for nested lists of finite JSON numbers.
     A boolean is no number, and a fit writes no NaN or infinity."""
@@ -477,20 +477,10 @@ def _model_from_doc(doc) -> GmmModel:
     try:
         stored = doc["feature_spec"]["variant"]
         spec = FeatureSetSpec(tuple(doc["feature_spec"]["strategies"]))
-        k = _json_field(doc, "K", int)
-        model = GmmModel(
-            feature_spec=spec,
-            epsilon=_json_field(doc, "epsilon"),
-            feat_mean=_json_field(doc, "feat_mean", np.ndarray),
-            feat_std=_json_field(doc, "feat_std", np.ndarray),
-            weights=_json_field(doc, "pi", np.ndarray),
-            means=_json_field(doc, "mu", np.ndarray),
-            covariances=_json_field(doc, "sigma", np.ndarray),
-            seed=_json_field(doc, "seed", int),
-            n_train=_json_field(doc, "n_train", int),
-            bic=_json_field(doc, "bic"),
-            loglik=_json_field(doc, "loglik"),
-        )
+        fields = {attr: _json_field(doc, key, kind)
+                  for key, attr, kind in _MODEL_FIELDS}
+        k = fields.pop("k")
+        model = GmmModel(feature_spec=spec, **fields)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"model JSON is missing or mistypes a field: {exc}") from None
     except ParseError:  # a field that holds no JSON number where one belongs

@@ -56,6 +56,9 @@ _LANE_OOD_BASE = 2
 _LANE_OOD_PATTERN = 3
 _LANE_RISK = 4
 
+DEFAULT_RISK_SLOPE = 0.6
+DEFAULT_RISK_NOISE = 0.05
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -265,8 +268,8 @@ class Benchmark:
 def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSpec,
                   *, perturb_ladder: Sequence[float] | None = None, seed: int = 0,
                   match_means: bool = False, with_masks: bool = False,
-                  risk_slope: float = 0.6, risk_noise: float = 0.05
-                  ) -> list[Benchmark]:
+                  risk_slope: float = DEFAULT_RISK_SLOPE,
+                  risk_noise: float = DEFAULT_RISK_NOISE) -> list[Benchmark]:
     """Generate labeled populations of synthetic uncertainty maps.
 
     Returns one Benchmark per ladder step (a single step of intensity 1.0

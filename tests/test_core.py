@@ -163,7 +163,8 @@ def test_all_lists_every_public_name():
 _KEPT_WITHOUT_CALLER = {
     "entropy_uncertainty": "the uncertainty map of the segmentation-risk "
                            "suite's probability stacks, still to be built",
-    "spatial_weight_map": "the brute-force oracle of the spatial kernels",
+    "spatial_weight_map": "the per-pixel weights that test_spatial's brute-force "
+                          "oracles check the spatial kernels through",
 }
 
 

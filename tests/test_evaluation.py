@@ -637,6 +637,22 @@ def test_every_metric_refuses_nan_scores():
     assert eaurc([0.1, 0.9, 0.5], [math.inf, 0.0, 0.2]) >= 0.0
 
 
+def test_every_rank_statistic_refuses_nan():
+    # A NaN used to rank silently: [nan, 1, 2] gave the p-value of [-5, 1, 2].
+    with pytest.raises(NonFinite, match="^differences contain NaN$"):
+        wilcoxon_one_sided([math.nan, 1.0, 2.0])
+    for direction in ("higher", "lower"):
+        with pytest.raises(NonFinite, match="^dataset 'd' holds NaN for strategy 'a'$"):
+            mean_rank({"d": {"a": math.nan, "b": 0.5, "c": 0.7}}, direction)
+        with pytest.raises(NonFinite, match="^strategy 'b' has a NaN sample$"):
+            significance_matrix({"a": np.array([0.1, 0.2, 0.3]),
+                                 "b": np.array([0.2, math.nan, 0.1])}, direction)
+    # infinity has a rank; only NaN is refused
+    assert wilcoxon_one_sided([-math.inf, 1.0, 2.0]) == wilcoxon_one_sided(
+        [-5.0, 1.0, 2.0])
+    assert mean_rank({"d": {"a": math.inf, "b": 0.5}}) == {"a": 1.0, "b": 2.0}
+
+
 def test_curves_refuse_non_finite_risks():
     # A NaN risk would turn its curve's points, and every E-AURC, into NaN.
     for bad in (math.nan, math.inf, -math.inf):

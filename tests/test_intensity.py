@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from uqagg import (
-    InvalidQuantile,
-    InvalidThreshold,
     NoForeground,
     PatchTooLarge,
     ShapeMismatch,
@@ -196,7 +194,7 @@ def test_ata_threshold_domain():
     assert ata(u, 0.0) == 0.5
     assert ata(u, 1.0) == 0.0
     for bad in (-0.01, 1.01, math.nan):
-        with pytest.raises(InvalidThreshold):
+        with pytest.raises(InvalidParam):
             ata(u, bad)
 
 
@@ -239,7 +237,7 @@ def test_aqa_matches_bruteforce():
 def test_aqa_quantile_domain():
     u = validate_map(np.full((2, 2), 0.5))
     for bad in (-0.1, 1.1, math.nan):
-        with pytest.raises(InvalidQuantile):
+        with pytest.raises(InvalidParam):
             aqa(u, bad)
 
 

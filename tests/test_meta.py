@@ -26,7 +26,6 @@ from uqagg import (
 from uqagg.errors import (
     DuplicateStrategy,
     FeatureMismatch,
-    InvalidEpsilon,
     InvalidParam,
     NonFinite,
     OutOfRange,
@@ -37,6 +36,7 @@ from uqagg.errors import (
 )
 from uqagg.meta import (
     _LANE_RESTART,
+    _MODEL_FIELDS,
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     DEFAULT_RIDGE,
@@ -69,9 +69,9 @@ def test_epsilon_rescale_is_affine_and_shrinks():
 
 
 def test_epsilon_rescale_validation():
-    with pytest.raises(InvalidEpsilon):
+    with pytest.raises(InvalidParam):
         epsilon_rescale([0.5], 0.0)
-    with pytest.raises(InvalidEpsilon):
+    with pytest.raises(InvalidParam):
         epsilon_rescale([0.5], 0.5)
     with pytest.raises(OutOfRange):
         epsilon_rescale([1.5], 0.01)
@@ -467,6 +467,29 @@ def test_model_json_keys_come_back_canonical():
     assert model.feature_spec.strategies == ("avg", "eds")
     doc["feature_spec"]["strategies"] = ["eds", "eds:0.2"]
     with pytest.raises(DuplicateStrategy):
+        model_from_json(json.dumps(doc))
+
+
+def test_model_table_names_every_field_once_in_file_order():
+    # One table writes and reads the model file: a field written is read, and
+    # a field read is written.
+    keys = [key for key, _, _ in _MODEL_FIELDS]
+    attrs = [attr for _, attr, _ in _MODEL_FIELDS]
+    fields = [f.name for f in dataclasses.fields(GmmModel)]
+    assert sorted(attrs) == sorted(set(fields) - {"feature_spec"} | {"k"})
+    assert len(set(keys)) == len(keys) == len(attrs)
+    doc = json.loads(model_to_json(_small_model()))
+    assert list(doc) == ["version", "feature_spec", *keys]
+
+
+def test_model_json_names_its_first_bad_field_in_file_order():
+    doc = json.loads(model_to_json(_small_model()))
+    doc["K"] = "two"
+    doc["epsilon"] = True
+    with pytest.raises(ParseError, match="field 'epsilon' holds True"):
+        model_from_json(json.dumps(doc))
+    doc["epsilon"] = 1e-3
+    with pytest.raises(ParseError, match="field 'K' holds 'two'"):
         model_from_json(json.dumps(doc))
 
 

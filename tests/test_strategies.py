@@ -17,8 +17,6 @@ from uqagg.core import MapPass, SegmentationMask
 from uqagg.errors import (
     DuplicateStrategy,
     InvalidParam,
-    InvalidQuantile,
-    InvalidThreshold,
     MaskRequired,
     NoForeground,
     PatchTooLarge,
@@ -76,7 +74,7 @@ def test_parse_rejections():
         parse_strategy("plm:two")
     with pytest.raises(InvalidParam):
         parse_strategy("plm:0")
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(InvalidParam):
         parse_strategy("ata:1.5")
     with pytest.raises(InvalidParam):
         parse_strategy("ent:1")
@@ -154,18 +152,18 @@ def test_compute_features_mask_policy():
 # one case per entry of the strategy table
 
 # name -> (a parameterized token, which is its own canonical key, and
-# values outside the parameter's domain with the error they raise)
+# values outside the parameter's domain, each of which raises InvalidParam)
 CASES = {
-    "avg": ("avg", (), None),
-    "plm": ("plm:5", (0, -3), InvalidParam),
-    "ata": ("ata:0.4", (1.5, -0.1, float("nan")), InvalidThreshold),
-    "aqa": ("aqa:0.75", (1.01, -0.25, float("nan")), InvalidQuantile),
-    "bca": ("bca", (), None),
-    "ica": ("ica", (), None),
-    "qfr": ("qfr", (), None),
-    "mor": ("mor", (), None),
-    "eds": ("eds:0.3", (0.0, 1.0), InvalidParam),
-    "ent": ("ent:8", (1, 0), InvalidParam),
+    "avg": ("avg", ()),
+    "plm": ("plm:5", (0, -3)),
+    "ata": ("ata:0.4", (1.5, -0.1, float("nan"))),
+    "aqa": ("aqa:0.75", (1.01, -0.25, float("nan"))),
+    "bca": ("bca", ()),
+    "ica": ("ica", ()),
+    "qfr": ("qfr", ()),
+    "mor": ("mor", ()),
+    "eds": ("eds:0.3", (0.0, 1.0)),
+    "ent": ("ent:8", (1, 0)),
 }
 
 
@@ -205,12 +203,12 @@ def test_table_key_round_trips_and_dispatches(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in TABLE if TABLE[n].parse))
 def test_out_of_domain_raises_the_same_error_at_parse_and_in_kernel(name):
-    _, bad_values, error = CASES[name]
+    _, bad_values = CASES[name]
     u, _ = _map_and_mask()
     for bad in bad_values:
-        with pytest.raises(error):
+        with pytest.raises(InvalidParam):
             parse_strategy(f"{name}:{bad!r}")
-        with pytest.raises(error):
+        with pytest.raises(InvalidParam):
             TABLE[name].kernel(u, bad)
 
 
