@@ -496,7 +496,8 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     (A, B) tests whether A's values exceed B's (or fall below, for
     direction='lower'). Pairs with no nonzero difference, including the
     diagonal, are reported as 1.0; one warning per call counts the off-diagonal
-    ones and names the first few. A NaN sample raises NonFinite.
+    ones and names the first few. A NaN or infinite sample raises NonFinite
+    (two equal infinities would difference to NaN).
     """
     if direction not in ("higher", "lower"):
         raise InvalidParam(f"direction must be 'higher' or 'lower', got {direction!r}")
@@ -508,8 +509,8 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     for name, v in zip(names, vectors):
         if len(v) != length:
             raise LengthMismatch(f"strategy {name!r} has {len(v)} samples, not {length}")
-        if np.isnan(v).any():
-            raise NonFinite(f"strategy {name!r} has a NaN sample")
+        if not np.isfinite(v).all():
+            raise NonFinite(f"strategy {name!r} has a non-finite sample")
     p = np.ones((len(names), len(names)))
     tied = []
     for i, vi in enumerate(vectors):

@@ -324,13 +324,14 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
 
 def read_samples(path) -> dict[str, np.ndarray]:
     """Read a samples table of ``eval``: each column's values by its name.
-    Every cell must hold a number; an empty or NaN cell raises ParseError."""
+    Every cell must hold a finite number; an empty, NaN or infinite cell
+    raises ParseError."""
     header, rows = _read_table(path, "samples")
     if not rows:
         raise ParseError(f"{path}: no sample rows")
     matrix = np.array([_parse_row(path, i, rec) for i, rec in rows])
-    if np.isnan(matrix).any():
-        raise ParseError(f"{path}: a samples table needs a number in every cell")
+    if not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: a samples table needs a finite number in every cell")
     return dict(zip(header, matrix.T))
 
 

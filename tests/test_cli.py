@@ -873,6 +873,11 @@ _MALFORMED = {
     "samples-not-utf8-rank": (
         ["rank", "--inputs", "{d}/latin1.samples.csv", "--metric", "auroc",
          "--out-prefix", "{d}/out"], "{d}/latin1.samples.csv: 'utf-8' codec can't decode"),
+    # eval writes finite samples; two infinities in one row would difference to NaN
+    "samples-inf-rank": (
+        ["rank", "--inputs", "{d}/inf.samples.csv", "--metric", "auroc",
+         "--out-prefix", "{d}/out"],
+        "{d}/inf.samples.csv: a samples table needs a finite number in every cell"),
     "model-not-ascii-gmm-score": (
         ["gmm-score", "--model", "{d}/model.json", "--features", "{d}/scores.csv",
          "--out", "{d}/out.csv"], "{d}/model.json: 'ascii' codec can't decode"),
@@ -926,6 +931,7 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     (tmp_path / "latin1.csv").write_bytes(b"sample_id,map_path\nm\xe9,u.npy\n")
     (tmp_path / "latin1_scores.csv").write_bytes(b"sample_id,avg\ns\xe9,0.5\n")
     (tmp_path / "latin1.samples.csv").write_bytes(b"avg,mor\n0.5,0.25\n\xe9,0.5\n")
+    (tmp_path / "inf.samples.csv").write_text("avg,mor\ninf,inf\n0.5,0.25\n")
     (tmp_path / "model.json").write_text('{"version": "café"}', encoding="utf-8")
     (tmp_path / "twice.csv").write_text("sample_id,map_path,map_path\ns1,u.npy,u.npy\n")
     for name, (doc, _) in {**_SPECS, **_SPEC_VALUES}.items():

@@ -644,10 +644,12 @@ def test_every_rank_statistic_refuses_nan():
     for direction in ("higher", "lower"):
         with pytest.raises(NonFinite, match="^dataset 'd' holds NaN for strategy 'a'$"):
             mean_rank({"d": {"a": math.nan, "b": 0.5, "c": 0.7}}, direction)
-        with pytest.raises(NonFinite, match="^strategy 'b' has a NaN sample$"):
-            significance_matrix({"a": np.array([0.1, 0.2, 0.3]),
-                                 "b": np.array([0.2, math.nan, 0.1])}, direction)
-    # infinity has a rank; only NaN is refused
+        for bad in (math.nan, math.inf, -math.inf):
+            # two equal infinities in one resample would difference to NaN
+            with pytest.raises(NonFinite, match="^strategy 'a' has a non-finite sample$"):
+                significance_matrix({"a": np.array([bad, 0.2, 0.3]),
+                                     "b": np.array([bad, 0.3, 0.1])}, direction)
+    # infinity has a rank in one vector; only NaN is refused
     assert wilcoxon_one_sided([-math.inf, 1.0, 2.0]) == wilcoxon_one_sided(
         [-5.0, 1.0, 2.0])
     assert mean_rank({"d": {"a": math.inf, "b": 0.5}}) == {"a": 1.0, "b": 2.0}
