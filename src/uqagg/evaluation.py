@@ -496,8 +496,7 @@ def significance_matrix(samples: Mapping[str, np.ndarray],
     (A, B) tests whether A's values exceed B's (or fall below, for
     direction='lower'). Pairs with no nonzero difference, including the
     diagonal, are reported as 1.0; one warning per call counts the off-diagonal
-    ones and names the first few. A NaN or infinite sample raises NonFinite
-    (two equal infinities would difference to NaN).
+    ones and names the first few. A NaN or infinite sample raises NonFinite.
     """
     if direction not in ("higher", "lower"):
         raise InvalidParam(f"direction must be 'higher' or 'lower', got {direction!r}")

@@ -324,8 +324,7 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray]:
 
 def read_samples(path) -> dict[str, np.ndarray]:
     """Read a samples table of ``eval``: each column's values by its name.
-    Every cell must hold a finite number; an empty, NaN or infinite cell
-    raises ParseError."""
+    A cell without a finite number (empty, NaN or infinite) raises ParseError."""
     header, rows = _read_table(path, "samples")
     if not rows:
         raise ParseError(f"{path}: no sample rows")
