@@ -92,15 +92,12 @@ from .meta import (
     GmmModel,
     bic,
     em_fit,
-    epsilon_rescale,
     fit_meta,
     load_model,
     meta_score_matrix,
     model_from_json,
     model_to_json,
     save_model,
-    standardize_apply,
-    standardize_fit,
 )
 from .rng import stream
 from .spatial import (

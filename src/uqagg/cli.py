@@ -395,8 +395,9 @@ def _mixture_features(ids, names, matrix, wanted, note
                       ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_complete_rows` for a mixture's features.
 
-    A complete row with a cell outside [0, 1], which ``meta.epsilon_rescale``
-    refuses, fails here first with the first such cell's sample and column.
+    A complete row with a cell outside [0, 1], which ``meta.fit_meta`` and
+    ``meta.meta_score_matrix`` refuse without naming it, fails here first with
+    the first such cell's sample and column.
     """
     x, keep = _complete_rows(ids, names, matrix, wanted, note)
     outside = keep[:, None] & ((x < 0.0) | (x > 1.0))
@@ -607,9 +608,7 @@ def _preset(args) -> dict:
 
 def _benchmark_from_spec(doc: dict) -> list[synth.Benchmark]:
     def spec_of(entry):
-        return synth.SynthSpec(
-            entry["pattern"], tuple(doc["size"]), entry["params"], doc["seed"]
-        )
+        return synth.SynthSpec(entry["pattern"], tuple(doc["size"]), entry["params"])
 
     return synth.gen_benchmark(
         doc["n_iid"], doc["n_ood"], spec_of(doc["iid"]), spec_of(doc["ood"]),

@@ -63,8 +63,8 @@ def _codes(x: np.ndarray) -> np.ndarray:
     """Dense integer codes of the values of each row along the last axis.
 
     Codes keep the order and the ties of the values, as the comparisons of a
-    stable sort see them (each NaN is its own value, after every number), so
-    a stable sort of the codes is the stable sort of the values.
+    stable sort see them, so a stable sort of the codes is the stable sort of
+    the values.
     """
     n = x.shape[-1]
     order = np.argsort(x, axis=-1, kind="stable")

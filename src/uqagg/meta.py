@@ -82,51 +82,6 @@ class FeatureSetSpec:
                     "custom")
 
 
-def epsilon_rescale(values, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Shrink [0, 1] features into [epsilon, 1 - epsilon].
-
-    Applies f -> (1 - 2*epsilon) * (f - 0.5) + 0.5 so boundary values cannot
-    pin a mixture component onto a degenerate edge.
-    """
-    if not (0.0 < epsilon < 0.5):
-        raise InvalidParam(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFinite("features contain NaN or infinity")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise OutOfRange("features must lie in [0, 1] before rescaling")
-    return (1.0 - 2.0 * epsilon) * (arr - 0.5) + 0.5
-
-
-def standardize_fit(values) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and population standard deviations (divisor n).
-
-    Zero-variance columns get standard deviation 1 so they pass through
-    unscaled; a degenerate-feature warning is emitted for them.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise FeatureMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.shape[0] < 2:
-        raise TooFewSamples(f"standardization needs n >= 2, got {arr.shape[0]}")
-    mean = arr.mean(axis=0)
-    std = arr.std(axis=0)
-    degenerate = std == 0.0
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} feature column(s) are constant; "
-            "leaving them unscaled",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        std = np.where(degenerate, 1.0, std)
-    return mean, std
-
-
-def standardize_apply(values, mean, std) -> np.ndarray:
-    return (np.asarray(values, dtype=np.float64) - mean) / std
-
-
 @dataclass(frozen=True, eq=False)
 class EmResult:
     """Parameters and diagnostics of one EM fit at fixed K."""
@@ -323,16 +278,28 @@ def fit_meta(features, spec: FeatureSetSpec, *, k_max: int = DEFAULT_K_MAX,
     (smallest K on ties).
     """
     x = _match_matrix(features, spec)
-    if x.shape[0] < 2:
-        raise TooFewSamples(f"need at least 2 training samples, got {x.shape[0]}")
+    n, d = x.shape
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 training samples, got {n}")
     if k_max < 1:
         raise InvalidParam(f"k_max must be >= 1, got {k_max}")
 
-    rescaled = epsilon_rescale(x, DEFAULT_EPSILON)
-    mean, std = standardize_fit(rescaled)
-    z = standardize_apply(rescaled, mean, std)
+    # Standardize with the population moments (divisor n); a constant column
+    # gets standard deviation 1 and passes through unscaled.
+    rescaled = _rescale(x, DEFAULT_EPSILON)
+    mean = rescaled.mean(axis=0)
+    std = rescaled.std(axis=0)
+    degenerate = std == 0.0
+    if degenerate.any():
+        warnings.warn(
+            f"{int(degenerate.sum())} feature column(s) are constant; "
+            "leaving them unscaled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        std = np.where(degenerate, 1.0, std)
+    z = (rescaled - mean) / std
 
-    n, d = z.shape
     best = None
     for k in range(1, min(k_max, n) + 1):
         result = em_fit(z, k, seed=seed, max_iter=max_iter, tol=tol)
@@ -356,14 +323,28 @@ def fit_meta(features, spec: FeatureSetSpec, *, k_max: int = DEFAULT_K_MAX,
 
 
 def _match_matrix(features, spec: FeatureSetSpec) -> np.ndarray:
+    """``features`` as a C-ordered float64 ``(n, d)`` matrix, d the spec's key
+    count, every value finite and in [0, 1]: the one check of a feature
+    matrix that both fitting and scoring run."""
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(spec.strategies):
         raise FeatureMismatch(
             f"expected shape (n, {len(spec.strategies)}), got {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise NonFinite("features contain NaN or infinity")
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        raise OutOfRange("features must lie in [0, 1] before rescaling")
     # A reduction over a Fortran-ordered or strided array can sum in another
     # order than over a C-ordered copy, so every caller gets the same bits.
     return np.ascontiguousarray(arr)
+
+
+def _rescale(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """Shrink [0, 1] features into [epsilon, 1 - epsilon] by
+    f -> (1 - 2*epsilon) * (f - 0.5) + 0.5, so boundary values cannot pin a
+    mixture component onto a degenerate edge."""
+    return (1.0 - 2.0 * epsilon) * (x - 0.5) + 0.5
 
 
 def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
@@ -372,14 +353,9 @@ def meta_score_matrix(model: GmmModel, features) -> np.ndarray:
     from the reference population.
     """
     x = _match_matrix(features, model.feature_spec)
-    z = _apply_preproc(model, x)
+    z = (_rescale(x, model.epsilon) - model.feat_mean) / model.feat_std
     logp = _log_components(z, model.weights, model.means, model.covariances)
     return -_logsumexp_rows(logp)
-
-
-def _apply_preproc(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    rescaled = epsilon_rescale(x, model.epsilon)
-    return standardize_apply(rescaled, model.feat_mean, model.feat_std)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +466,8 @@ def _model_from_doc(doc) -> GmmModel:
     if model.n_train < 2:  # fit_meta needs two samples
         raise ParseError(f"model JSON field 'n_train' must be at least 2, got "
                          f"{model.n_train}")
+    if not 0.0 < model.epsilon < 0.5:  # the domain of _rescale
+        raise InvalidParam(f"epsilon must lie in (0, 0.5), got {model.epsilon!r}")
     if stored != spec.variant:
         raise ParseError(
             f"model JSON field 'feature_spec': variant {stored!r}, but its "
@@ -501,7 +479,7 @@ def _model_from_doc(doc) -> GmmModel:
     ):
         raise ParseError("model JSON has inconsistent array shapes")
     # Refuse what a fit never writes: its standard deviations are positive
-    # (standardize_fit gives a constant column 1) and its mixing weights
+    # (fit_meta gives a constant column 1) and its mixing weights
     # non-negative and not all zero.
     if (model.feat_std <= 0.0).any():
         raise ParseError("model JSON field 'feat_std' must be positive")

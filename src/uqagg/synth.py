@@ -282,7 +282,8 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
 
     ``match_means`` adjusts the out-of-distribution background level so both
     populations share the expected map mean. ``with_masks`` attaches each
-    sample's pattern geometry as a mask.
+    sample's pattern geometry as a mask. Every draw comes from ``seed``; the
+    specs' own seeds are not read.
     """
     if n_iid < 1:
         raise InvalidSpec(f"need at least one in-distribution sample, got {n_iid}")

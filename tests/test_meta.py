@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from uqagg import (
     bic,
     compute_features,
     em_fit,
-    epsilon_rescale,
     fit_meta,
     load_model,
     meta_score_matrix,
@@ -20,8 +20,6 @@ from uqagg import (
     model_to_json,
     parse_strategy_list,
     save_model,
-    standardize_apply,
-    standardize_fit,
 )
 from uqagg.errors import (
     DuplicateStrategy,
@@ -37,6 +35,7 @@ from uqagg.errors import (
 from uqagg.meta import (
     _LANE_RESTART,
     _MODEL_FIELDS,
+    DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     DEFAULT_RESTARTS,
     DEFAULT_RIDGE,
@@ -55,50 +54,96 @@ LOG_2PI = math.log(2.0 * math.pi)
 # preprocessing
 
 
+def _unit_gaussian(model):
+    # the model's preprocessing under one standard-normal component, so a
+    # row's NLL is d/2 ln(2 pi) + |z|^2 / 2 for its standardized features z
+    return dataclasses.replace(
+        model, weights=np.array([1.0]), means=np.zeros((1, model.d)),
+        covariances=np.eye(model.d)[None])
+
+
 def test_epsilon_rescale_fixed_points():
-    out = epsilon_rescale(np.array([0.0, 0.5, 1.0]), 1e-3)
-    np.testing.assert_allclose(out, [1e-3, 0.5, 1.0 - 1e-3], atol=1e-15)
+    # fit: the columns {0, 1} and {1, 0} rescale to {eps, 1 - eps}, whose
+    # mean is 0.5 and population std 0.5 - eps
+    eps = DEFAULT_EPSILON
+    model = fit_meta(np.array([[0.0, 1.0], [1.0, 0.0]]), FeatureSetSpec(["avg", "mor"]),
+                     k_max=1)
+    assert model.epsilon == eps
+    np.testing.assert_allclose(model.feat_mean, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(model.feat_std, [0.5 - eps, 0.5 - eps], atol=1e-15)
+    # score: feat_std (1 - 2 eps) / 6 puts x = 0, 0.5, 1 at z = -3, 0, 3 only
+    # if they rescale to eps, 0.5, 1 - eps
+    for eps in (1e-3, 0.01, 0.25):
+        got = meta_score_matrix(_unit_model(eps), np.array([[0.0], [0.5], [1.0]]))
+        np.testing.assert_allclose(got, 0.5 * LOG_2PI + np.array([4.5, 0.0, 4.5]),
+                                   rtol=1e-12)
 
 
 def test_epsilon_rescale_is_affine_and_shrinks():
     rng = np.random.default_rng(0)
-    x = rng.random(100)
-    out = epsilon_rescale(x, 0.01)
-    np.testing.assert_allclose(out, 0.98 * (x - 0.5) + 0.5, atol=1e-15)
-    assert out.min() >= 0.01 - 1e-15 and out.max() <= 0.99 + 1e-15
-
-
-def test_epsilon_rescale_validation():
-    with pytest.raises(InvalidParam):
-        epsilon_rescale([0.5], 0.0)
-    with pytest.raises(InvalidParam):
-        epsilon_rescale([0.5], 0.5)
-    with pytest.raises(OutOfRange):
-        epsilon_rescale([1.5], 0.01)
-    with pytest.raises(NonFinite):
-        epsilon_rescale([math.nan], 0.01)
+    x = rng.random((100, 2))
+    model = fit_meta(x, FeatureSetSpec(["avg", "mor"]), k_max=1)
+    shrink = 1.0 - 2.0 * DEFAULT_EPSILON
+    np.testing.assert_allclose(model.feat_mean, shrink * (x.mean(axis=0) - 0.5) + 0.5,
+                               rtol=1e-14)
+    np.testing.assert_allclose(model.feat_std, shrink * x.std(axis=0), rtol=1e-12)
 
 
 def test_standardize_population_moments():
-    x = np.array([[1.0, 10.0], [3.0, 10.0]])
+    # population (divisor n) std of the rescaled {0.25, 0.75} is
+    # 0.25 * (1 - 2 eps); the constant column snaps to 1
+    x = np.array([[0.25, 0.75], [0.75, 0.75]])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mean, std = standardize_fit(x)
-    np.testing.assert_allclose(mean, [2.0, 10.0])
-    # population (divisor n) std of {1, 3} is 1; constant column snaps to 1
-    np.testing.assert_allclose(std, [1.0, 1.0])
-    z = standardize_apply(x, mean, std)
-    np.testing.assert_allclose(z, [[-1.0, 0.0], [1.0, 0.0]])
+        model = fit_meta(x, FeatureSetSpec(["avg", "mor"]), k_max=1)
+    np.testing.assert_allclose(model.feat_mean, [0.5, 0.75 - 0.5 * DEFAULT_EPSILON])
+    np.testing.assert_allclose(model.feat_std, [0.25 * (1.0 - 2.0 * DEFAULT_EPSILON), 1.0])
+    # scoring standardizes with them: z = [[-1, 0], [1, 0]], so |z|^2 = 1
+    np.testing.assert_allclose(meta_score_matrix(_unit_gaussian(model), x),
+                               [LOG_2PI + 0.5, LOG_2PI + 0.5], rtol=1e-14)
 
 
 def test_standardize_warns_on_constant_column():
-    with pytest.warns(RuntimeWarning):
-        standardize_fit(np.array([[1.0, 5.0], [2.0, 5.0]]))
+    x = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 1.0]])
+    with pytest.warns(RuntimeWarning,
+                      match=r"^2 feature column\(s\) are constant; leaving them unscaled$"):
+        model = fit_meta(x, FeatureSetSpec(["avg", "mor", "ent"]), k_max=1)
+    np.testing.assert_allclose(model.feat_std[1:], [1.0, 1.0])
 
 
 def test_standardize_needs_two_samples():
-    with pytest.raises(TooFewSamples):
-        standardize_fit(np.array([[1.0, 2.0]]))
+    with pytest.raises(TooFewSamples, match="^need at least 2 training samples, got 1$"):
+        fit_meta(np.array([[0.25, 0.5]]), FeatureSetSpec(["avg", "mor"]))
+
+
+@pytest.mark.parametrize("cell, error, words", [
+    (math.nan, NonFinite, "features contain NaN or infinity"),
+    (math.inf, NonFinite, "features contain NaN or infinity"),
+    (1.5, OutOfRange, "features must lie in [0, 1] before rescaling"),
+    (-0.25, OutOfRange, "features must lie in [0, 1] before rescaling"),
+], ids=["nan", "inf", "1.5", "-0.25"])
+def test_fit_and_score_refuse_one_bad_feature(cell, error, words):
+    spec = FeatureSetSpec(["avg", "mor"])
+    x = np.random.default_rng(1).random((20, 2))
+    model = fit_meta(x, spec, k_max=1)
+    x[7, 1] = cell
+    for call in (lambda a: fit_meta(a, spec), lambda a: meta_score_matrix(model, a)):
+        with pytest.raises(error, match=f"^{re.escape(words)}$"):
+            call(x)
+        # one bad row: fit_meta states the feature rule, not the two-sample one
+        with pytest.raises(error, match=f"^{re.escape(words)}$"):
+            call(x[7:8])
+
+
+def test_fit_and_score_refuse_a_wrong_width():
+    spec = FeatureSetSpec(["avg", "mor"])
+    x = np.random.default_rng(2).random((20, 3))
+    model = fit_meta(x[:, :2], spec, k_max=1)
+    words = re.escape("expected shape (n, 2), got (20, 3)")
+    with pytest.raises(FeatureMismatch, match=f"^{words}$"):
+        fit_meta(x, spec)
+    with pytest.raises(FeatureMismatch, match=f"^{words}$"):
+        meta_score_matrix(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +536,20 @@ def test_model_json_names_its_first_bad_field_in_file_order():
     doc["epsilon"] = 1e-3
     with pytest.raises(ParseError, match="field 'K' holds 'two'"):
         model_from_json(json.dumps(doc))
+
+
+def test_epsilon_rescale_validation(tmp_path):
+    # a model file is where an epsilon enters from outside: it is refused on load
+    doc = json.loads(model_to_json(_small_model()))
+    path = tmp_path / "model.json"
+    for epsilon in (0.7, -3.0, 0.0, 0.5):
+        doc["epsilon"] = epsilon
+        path.write_text(json.dumps(doc), encoding="ascii")
+        words = re.escape(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+        with pytest.raises(InvalidParam, match=f"^{words}$"):
+            model_from_json(path.read_text(encoding="ascii"))
+        with pytest.raises(InvalidParam, match=f"^{words}$"):
+            load_model(path)
 
 
 def test_model_json_parse_errors():

@@ -1,6 +1,7 @@
-"""Every fenced Python block of README.md runs as written, and every uqagg
-command of its sh blocks parses."""
+"""Every fenced Python block of README.md runs as written, every uqagg
+command of its sh blocks parses, and its JSON spec example is a valid spec."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -59,3 +60,15 @@ def test_readme_commands_parse():
             cli._build_parser().parse_args(argv)
         except SystemExit:  # argparse's usage error
             pytest.fail(f"README command does not parse: uqagg {shlex.join(argv)}")
+
+
+def test_readme_spec_example_is_a_valid_spec():
+    from uqagg import cli
+
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, "README.md should hold one ```json spec example"
+    doc = cli._spec_document(json.loads(blocks[0]), cli._SPEC_KEYS, "README spec")
+    benches = cli._benchmark_from_spec(doc)
+    # five ladder steps of 50 + 50 samples
+    assert [len(b.samples) for b in benches] == [100] * 5

@@ -238,6 +238,20 @@ def test_benchmark_deterministic():
     assert not np.array_equal(a.samples[0].map.values, c.samples[0].map.values)
 
 
+def test_benchmark_does_not_read_the_specs_seeds():
+    # every draw comes from gen_benchmark's own seed
+    def bench(spec_seed):
+        return gen_benchmark(3, 3, _noise(spec_seed), _blob(spec_seed), seed=3,
+                             perturb_ladder=[0.5, 1.0], with_masks=True)
+
+    for a, b in zip(bench(1), bench(99)):
+        for sa, sb in zip(a.samples, b.samples):
+            assert sa.map.values.tobytes() == sb.map.values.tobytes()
+            assert sa.mask.labels.tobytes() == sb.mask.labels.tobytes()
+            assert (sa.sample_id, sa.ood_label, sa.risk) == (
+                sb.sample_id, sb.ood_label, sb.risk)
+
+
 def test_benchmark_iid_unaffected_by_ood_count():
     # adding perturbed samples must not shift the in-distribution draws
     small = gen_benchmark(3, 1, _noise(), _blob(), seed=6)[0]
