@@ -18,7 +18,9 @@ import argparse
 import math
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -606,18 +608,6 @@ def _preset(args) -> dict:
     }
 
 
-def _benchmark_from_spec(doc: dict) -> list[synth.Benchmark]:
-    def spec_of(entry):
-        return synth.SynthSpec(entry["pattern"], tuple(doc["size"]), entry["params"])
-
-    return synth.gen_benchmark(
-        doc["n_iid"], doc["n_ood"], spec_of(doc["iid"]), spec_of(doc["ood"]),
-        perturb_ladder=doc["ladder"], seed=doc["seed"], match_means=doc["match_means"],
-        with_masks=doc["with_masks"], risk_slope=doc["risk_slope"],
-        risk_noise=doc["risk_noise"],
-    )
-
-
 def _cmd_synth(args) -> int:
     if args.spec is not None:
         given = ["--" + key.replace("_", "-") for key in _PRESET_KEYS if key in vars(args)]
@@ -629,31 +619,70 @@ def _cmd_synth(args) -> int:
         doc = _spec_document(io.read_json(args.spec), _SPEC_KEYS, f"{args.spec}: spec")
     else:
         doc = _spec_document(_preset(args), _SPEC_KEYS, "preset spec")
-    benches = _benchmark_from_spec(doc)
 
-    multi = len(benches) > 1
-    for t, bench in enumerate(benches):
-        sub = f"step{t:02d}" if multi else ""
-        for kind in ("maps", "masks") if doc["with_masks"] else ("maps",):
-            os.makedirs(os.path.join(args.out_dir, sub, kind), exist_ok=True)
-        rows = []
-        for sample in bench.samples:
-            rel_map = os.path.join(sub, "maps", f"{sample.sample_id}.npy")
-            io.write_npy(os.path.join(args.out_dir, rel_map), sample.map.values)
+    def spec_of(entry):
+        return synth.SynthSpec(entry["pattern"], tuple(doc["size"]), entry["params"])
+
+    steps, samples = synth._samples(
+        doc["n_iid"], doc["n_ood"], spec_of(doc["iid"]), spec_of(doc["ood"]),
+        perturb_ladder=doc["ladder"], seed=doc["seed"], match_means=doc["match_means"],
+        with_masks=doc["with_masks"], risk_slope=doc["risk_slope"],
+        risk_noise=doc["risk_noise"],
+    )
+    multi = len(steps) > 1
+    subs = [f"step{t:02d}" if multi else "" for t in range(len(steps))]
+    manifests = [f"manifest_step{t:02d}.csv" if multi else "manifest.csv"
+                 for t in range(len(steps))]
+    rows = [[] for _ in steps]
+    # Every file goes to a staging directory on --out-dir's file system and
+    # moves into --out-dir only once the last one is written, so a spec that
+    # fails part-way leaves --out-dir as it was.
+    staging = tempfile.mkdtemp(prefix=".synth-", dir=_nearest_dir(args.out_dir))
+    try:
+        root = os.path.join(staging, "out")
+        for sub in subs:
+            for kind in ("maps", "masks") if doc["with_masks"] else ("maps",):
+                os.makedirs(os.path.join(root, sub, kind))
+        for t, sample in samples:
+            rel_map = os.path.join(subs[t], "maps", f"{sample.sample_id}.npy")
+            io.write_npy(os.path.join(root, rel_map), sample.map.values)
             rel_mask = None
             if sample.mask is not None:
-                rel_mask = os.path.join(sub, "masks", f"{sample.sample_id}.npy")
-                io.write_npy(os.path.join(args.out_dir, rel_mask), sample.mask.labels)
-            rows.append(io.ManifestRow(sample.sample_id, rel_map, rel_mask,
-                                       sample.ood_label, sample.risk))
-        name = f"manifest_step{t:02d}.csv" if multi else "manifest.csv"
-        io.write_manifest(os.path.join(args.out_dir, name), rows)
+                rel_mask = os.path.join(subs[t], "masks", f"{sample.sample_id}.npy")
+                io.write_npy(os.path.join(root, rel_mask), sample.mask.labels)
+            rows[t].append(io.ManifestRow(sample.sample_id, rel_map, rel_mask,
+                                          sample.ood_label, sample.risk))
+        for name, step_rows in zip(manifests, rows):
+            io.write_manifest(os.path.join(root, name), step_rows)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out_dir)), exist_ok=True)
+        _move_into(root, args.out_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    for name, step_rows, intensity in zip(manifests, rows, steps):
         print(
-            f"wrote {len(rows)} samples to {os.path.join(args.out_dir, name)} "
-            f"(intensity {bench.intensity:g})",
+            f"wrote {len(step_rows)} samples to {os.path.join(args.out_dir, name)} "
+            f"(intensity {intensity:g})",
             file=sys.stderr,
         )
     return 0
+
+
+def _nearest_dir(path: str) -> str:
+    """``path`` if it is a directory, else its nearest ancestor that is."""
+    path = os.path.abspath(path)
+    while not os.path.isdir(path):
+        path = os.path.dirname(path)
+    return path
+
+
+def _move_into(src: str, dst: str) -> None:
+    """Move the tree ``src`` onto ``dst``: a file or a directory that ``dst``
+    lacks moves whole, one it has is replaced or merged into."""
+    if not os.path.isdir(dst):
+        os.replace(src, dst)
+        return
+    for name in os.listdir(src):
+        _move_into(os.path.join(src, name), os.path.join(dst, name))
 
 
 # ---------------------------------------------------------------------------

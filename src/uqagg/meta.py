@@ -242,9 +242,25 @@ def bic(loglik: float, k: int, d: int, n: int) -> float:
     return p * math.log(n) - 2.0 * loglik
 
 
+class _FieldFault(InvalidParam):
+    """A GmmModel field that no fit writes; ``attr`` names it."""
+
+    def __init__(self, attr: str, words: str):
+        super().__init__(f"GmmModel field {attr!r} {words}")
+        self.attr, self.words = attr, words
+
+
 @dataclass(frozen=True, eq=False)
 class GmmModel:
-    """Fitted mixture plus the preprocessing recorded at fit time."""
+    """Fitted mixture plus the preprocessing recorded at fit time.
+
+    Whatever builds it, a fit, a model file or Python code, it refuses what
+    a fit never writes, with InvalidParam: ``epsilon`` outside (0, 0.5), the
+    domain of the rescale; arrays whose shapes disagree with the strategy
+    count d and the weight count K; a ``feat_std`` entry that is not positive
+    (a fit gives a constant column 1); ``weights`` with a negative entry or
+    none positive; ``n_train`` below 2 (a fit needs two samples).
+    """
 
     feature_spec: FeatureSetSpec
     epsilon: float
@@ -257,6 +273,22 @@ class GmmModel:
     n_train: int
     bic: float
     loglik: float
+
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < 0.5:
+            raise InvalidParam(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
+        k, d = len(self.weights), len(self.feature_spec.strategies)
+        for attr, shape in (("feat_mean", (d,)), ("feat_std", (d,)), ("weights", (k,)),
+                            ("means", (k, d)), ("covariances", (k, d, d))):
+            if np.shape(getattr(self, attr)) != shape:
+                raise _FieldFault(attr, f"has shape {np.shape(getattr(self, attr))}, "
+                                        f"not {shape} (K = {k}, d = {d})")
+        if not (self.feat_std > 0.0).all():
+            raise _FieldFault("feat_std", "must be positive")
+        if not (self.weights >= 0.0).all() or not (self.weights > 0.0).any():
+            raise _FieldFault("weights", "must be non-negative with a positive entry")
+        if self.n_train < 2:
+            raise _FieldFault("n_train", f"must be at least 2, got {self.n_train}")
 
     @property
     def k(self) -> int:
@@ -455,37 +487,25 @@ def _model_from_doc(doc) -> GmmModel:
         spec = FeatureSetSpec(tuple(doc["feature_spec"]["strategies"]))
         fields = {attr: _json_field(doc, key, kind)
                   for key, attr, kind in _MODEL_FIELDS}
-        k = fields.pop("k")
-        model = GmmModel(feature_spec=spec, **fields)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"model JSON is missing or mistypes a field: {exc}") from None
     except ParseError:  # a field that holds no JSON number where one belongs
         raise
     except UqaggError as exc:  # a strategy key FeatureSetSpec refuses
         raise type(exc)(f"model JSON field 'feature_spec': {exc}") from None
-    if model.n_train < 2:  # fit_meta needs two samples
-        raise ParseError(f"model JSON field 'n_train' must be at least 2, got "
-                         f"{model.n_train}")
-    if not 0.0 < model.epsilon < 0.5:  # the domain of _rescale
-        raise InvalidParam(f"epsilon must lie in (0, 0.5), got {model.epsilon!r}")
     if stored != spec.variant:
         raise ParseError(
             f"model JSON field 'feature_spec': variant {stored!r}, but its "
             f"strategies are named {spec.variant!r}"
         )
-    d = model.d
-    if model.means.shape != (k, d) or model.covariances.shape != (k, d, d) or (
-        model.weights.shape != (k,) or model.feat_std.shape != (d,)
-    ):
-        raise ParseError("model JSON has inconsistent array shapes")
-    # Refuse what a fit never writes: its standard deviations are positive
-    # (fit_meta gives a constant column 1) and its mixing weights
-    # non-negative and not all zero.
-    if (model.feat_std <= 0.0).any():
-        raise ParseError("model JSON field 'feat_std' must be positive")
-    if (model.weights < 0.0).any() or not (model.weights > 0.0).any():
-        raise ParseError("model JSON field 'pi' must be non-negative with a "
-                         "positive entry")
+    k = fields.pop("k")
+    try:
+        model = GmmModel(feature_spec=spec, **fields)
+    except _FieldFault as exc:
+        key = next(key for key, attr, _ in _MODEL_FIELDS if attr == exc.attr)
+        raise ParseError(f"model JSON field {key!r} {exc.words}") from None
+    if model.k != k:
+        raise ParseError(f"model JSON field 'K' is {k}, but 'pi' holds {model.k} weights")
     return model
 
 

@@ -14,6 +14,11 @@ optional masks, and synthetic risks. A perturbation ladder yields one
 population per intensity step; out-of-distribution maps follow per-sample
 trajectories interpolating from an in-distribution base toward their pattern,
 so scores can be tracked sample-by-sample across steps.
+
+Every sample is drawn from its own random stream, so samples can be drawn
+one at a time: ``gen_benchmark`` collects them into memory, and
+``uqagg synth`` writes each one before it draws the next, holding one
+sample (one map per ladder step) whatever the population sizes.
 """
 
 from __future__ import annotations
@@ -284,6 +289,29 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
     populations share the expected map mean. ``with_masks`` attaches each
     sample's pattern geometry as a mask. Every draw comes from ``seed``; the
     specs' own seeds are not read.
+
+    The result holds every map of every step in memory; ``uqagg synth``
+    draws the same samples one at a time and writes each before the next.
+    """
+    steps, samples = _samples(
+        n_iid, n_ood, iid_spec, ood_spec, perturb_ladder=perturb_ladder, seed=seed,
+        match_means=match_means, with_masks=with_masks, risk_slope=risk_slope,
+        risk_noise=risk_noise)
+    populations = [[] for _ in steps]
+    for t, sample in samples:
+        populations[t].append(sample)
+    return [Benchmark(tuple(p), intensity) for p, intensity in zip(populations, steps)]
+
+
+def _samples(n_iid, n_ood, iid_spec, ood_spec, *, perturb_ladder, seed, match_means,
+             with_masks, risk_slope, risk_noise):
+    """Check ``gen_benchmark``'s arguments; return its step intensities and an
+    iterator over its ``(step, sample)`` pairs.
+
+    The iterator holds one sample at a time: each in-distribution sample is
+    yielded once per step, and each perturbed sample's base and pattern are
+    rendered once and blended into one map per step. Every population lists
+    its in-distribution samples first.
     """
     if n_iid < 1:
         raise InvalidSpec(f"need at least one in-distribution sample, got {n_iid}")
@@ -307,40 +335,34 @@ def gen_benchmark(n_iid: int, n_ood: int, iid_spec: SynthSpec, ood_spec: SynthSp
                          "risk_noise")
         return float(np.clip(level + noise, 0.0, 1.0))
 
-    iid_samples = []
-    for j in range(n_iid):
-        rng = stream(seed, _LANE_IID, j)
-        spec_j = _jittered(iid_spec, rng)
-        map_j = UncertaintyMap(_render(spec_j, rng))
-        mask_j = pattern_mask(spec_j) if with_masks else None
-        iid_samples.append(
-            BenchmarkSample(f"iid-{j:0{width}d}", map_j, mask_j, 0, risk(j, 0.0))
-        )
+    def draw():
+        for j in range(n_iid):
+            rng = stream(seed, _LANE_IID, j)
+            spec_j = _jittered(iid_spec, rng)
+            map_j = UncertaintyMap(_render(spec_j, rng))
+            mask_j = pattern_mask(spec_j) if with_masks else None
+            sample = BenchmarkSample(f"iid-{j:0{width}d}", map_j, mask_j, 0, risk(j, 0.0))
+            for t in range(len(steps)):
+                yield t, sample
 
-    ood_bases = []
-    for j in range(n_ood):
-        base_rng = stream(seed, _LANE_OOD_BASE, j)
-        base_spec = _jittered(iid_spec, base_rng)
-        base = _render(base_spec, base_rng)
-        pat_rng = stream(seed, _LANE_OOD_PATTERN, j)
-        pat_spec = _jittered(ood_spec, pat_rng)
-        pattern = _render(pat_spec, pat_rng)
-        if with_masks:
-            # The mask follows the dominant component of the blend.
-            masks_j = (pattern_mask(base_spec), pattern_mask(pat_spec))
-        else:
-            masks_j = (None, None)
-        ood_bases.append((base, pattern, masks_j))
+        for j in range(n_ood):
+            base_rng = stream(seed, _LANE_OOD_BASE, j)
+            base_spec = _jittered(iid_spec, base_rng)
+            base = _render(base_spec, base_rng)
+            pat_rng = stream(seed, _LANE_OOD_PATTERN, j)
+            pat_spec = _jittered(ood_spec, pat_rng)
+            pattern = _render(pat_spec, pat_rng)
+            if with_masks:
+                # The mask follows the dominant component of the blend.
+                masks_j = (pattern_mask(base_spec), pattern_mask(pat_spec))
+            else:
+                masks_j = (None, None)
+            for t, intensity in enumerate(steps):
+                mask_j = masks_j[1] if intensity > 0.5 else masks_j[0]
+                vals = np.clip((1.0 - intensity) * base + intensity * pattern, 0.0, 1.0)
+                yield t, BenchmarkSample(
+                    f"ood-{j:0{width}d}", UncertaintyMap(vals), mask_j, 1,
+                    risk(((t + 1) << 24) | j, risk_slope * intensity),
+                )
 
-    benches = []
-    for t, intensity in enumerate(steps):
-        samples = list(iid_samples)
-        for j, (base, pattern, masks_j) in enumerate(ood_bases):
-            mask_j = masks_j[1] if intensity > 0.5 else masks_j[0]
-            vals = np.clip((1.0 - intensity) * base + intensity * pattern, 0.0, 1.0)
-            samples.append(BenchmarkSample(
-                f"ood-{j:0{width}d}", UncertaintyMap(vals), mask_j, 1,
-                risk(((t + 1) << 24) | j, risk_slope * intensity),
-            ))
-        benches.append(Benchmark(tuple(samples), intensity))
-    return benches
+    return steps, draw()

@@ -769,9 +769,16 @@ _SPECS = {
     "spec-unknown-key": ({"iid": _ENTRY, "ood": _ENTRY, "ladders": [0.5]},
                          "spec has unknown key 'ladders'"),
 }
-# Synth spec cases of the right JSON types whose values no uniform draw or
-# risk can take; each message names the key.
+# Synth spec cases of the right JSON types whose values no uniform draw,
+# risk or pattern can take; each message names the key or the value.
 _BLOB = {"inside": 0.85, "outside": 0.25, "radius": 10.0}
+# At seed 6 the first period below 1 is drawn for in-distribution sample 6,
+# so synth fails after six samples were generated.
+_MID_POPULATION = {
+    "iid": {"pattern": "checkerboard",
+            "params": {"high": 0.9, "low": 0.1, "period": 2, "period_jitter": 1.5}},
+    "ood": _ENTRY, "n_iid": 10, "n_ood": 2, "size": [16, 16], "seed": 6,
+}
 _SPEC_VALUES = {
     "spec-noise-amp-huge": (
         {"iid": {"pattern": "noise", "params": {"mean": 0.3, "amp": 1e308}},
@@ -784,6 +791,8 @@ _SPEC_VALUES = {
         {"iid": _ENTRY, "ood": {"pattern": "blob",
                                 "params": {**_BLOB, "radius_jitter": 1e308}}},
         "parameter 'radius_jitter' gives a uniform draw over"),
+    "spec-period-jitter-mid-population": (
+        _MID_POPULATION, "checkerboard period must be >= 1, got 0"),
     **{f"spec-risk-noise-{tag}": ({"iid": _ENTRY, "ood": _ENTRY, "risk_noise": value},
                                   words)
        for tag, value, words in (
@@ -951,6 +960,44 @@ def test_malformed_input_is_one_error_line_and_exit_4(tmp_path, case):
     assert len(errors) == 1, res.stderr
     assert errors[0].startswith("error: " + words.format(d=tmp_path))
     assert not list(tmp_path.glob("out*"))   # no output file or directory
+
+
+def test_failing_spec_leaves_an_earlier_dataset_as_it_was(tmp_path):
+    from uqagg import synth
+
+    # the spec's first six samples are drawn before it fails
+    iid = synth.SynthSpec(_MID_POPULATION["iid"]["pattern"], (16, 16),
+                          _MID_POPULATION["iid"]["params"])
+    assert len(synth.gen_benchmark(6, 1, iid, iid, seed=6)[0].samples) == 7
+    out = tmp_path / "out"
+    res = run_cli("synth", "--out-dir", str(out), "--n-iid", "3", "--n-ood", "3",
+                  "--size", "16", "16", "--with-masks")
+    assert res.returncode == 0, res.stderr
+    before = {path: path.read_bytes() if path.is_file() else None
+              for path in out.rglob("*")}
+    (tmp_path / "spec.json").write_text(json.dumps(_MID_POPULATION))
+    res = run_cli("synth", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(out))
+    assert res.returncode == 4
+    assert res.stderr == "error: checkerboard period must be >= 1, got 0\n"
+    assert {path: path.read_bytes() if path.is_file() else None
+            for path in out.rglob("*")} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "spec.json"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_synth_memory_does_not_grow_with_the_dataset(tmp_path):
+    """synth holds one sample at a time: 300 masked maps of 128x128 (75 MB of
+    files) stay under 80 MB of peak resident memory."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uqagg.cli", "synth", "--n-iid", "150", "--n-ood", "150",
+         "--size", "128", "128", "--with-masks", "--out-dir", str(tmp_path / "out")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert len(list((tmp_path / "out" / "maps").iterdir())) == 300
+    assert usage.ru_maxrss < 80 * 1024, f"peak RSS {usage.ru_maxrss / 1024:.0f} MB"
 
 
 def test_unedited_model_of_the_malformed_cases_scores(tmp_path):

@@ -1,4 +1,5 @@
-"""Golden bytes: the score table of a fixed masked dataset over FULL_SET.
+"""Golden bytes: synth's own files, and the score table of a fixed masked
+dataset over FULL_SET.
 
 The digest was taken with the literal kernels: ``plm`` over the whole map,
 ``eds`` flags from ``np.hypot``, ``ent`` bins from an integer cast, and a
@@ -103,3 +104,115 @@ def stage_outputs(tmp_path_factory):
 def test_stage_output_bytes(stage_outputs, name):
     digest = hashlib.sha256((stage_outputs / name).read_bytes()).hexdigest()
     assert digest == _STAGE_SHA256[name]
+
+
+# synth's own files, for _SPEC and for a three-step ladder with masks whose
+# perturbed masks switch from the base's geometry to the pattern's after 0.5.
+# The digests were taken while synth still built every map of every step in
+# memory before writing any; streaming must not move a byte.
+_LADDER_SPEC = {
+    "n_iid": 2,
+    "n_ood": 2,
+    "size": [12, 10],
+    "seed": 8,
+    "with_masks": True,
+    "ladder": [0.25, 0.5, 0.75],
+    "iid": {"pattern": "ring",
+            "params": {"inside": 0.6, "outside": 0.2, "radius_inner": 1.5,
+                       "radius_outer": 3.5, "radius_outer_jitter": 1.0,
+                       "inside_jitter": 0.1}},
+    "ood": {"pattern": "checkerboard",
+            "params": {"high": 0.9, "low": 0.1, "period": 3, "period_jitter": 1.5}},
+}
+_SYNTH_SPECS = {"spec": _SPEC, "ladder": _LADDER_SPEC}
+_SYNTH_SHA256 = {
+    "spec": {
+        "manifest.csv":
+            "47322055890cad01e0375984b4b1ac432ecdd61e7809766f4b1c3e5ad9716061",
+        "maps/iid-0000.npy":
+            "5ee9c34afed72248548a5bba320834ccc8b20594e01b34a9d131b6fe90914e74",
+        "maps/iid-0001.npy":
+            "c22220b407c922c5c990d0df08b9fb0e8b69ae4b7b7862dc76191e1062d4a7eb",
+        "maps/ood-0000.npy":
+            "6bf84208ef37fea82d7c16795a5931f662d64ecf1770303e8907c2e18c3d014a",
+        "maps/ood-0001.npy":
+            "5b56411e710b812672dbe6ddadf4edc20dd46eea567b191964057914238f9181",
+        "masks/iid-0000.npy":
+            "c2e1faae6d42044647867edcb35e184bb4edd934041a5e151f9adbd70c16c660",
+        "masks/iid-0001.npy":
+            "c2e1faae6d42044647867edcb35e184bb4edd934041a5e151f9adbd70c16c660",
+        "masks/ood-0000.npy":
+            "377aa872dbcc3f6473934060cc205a4bd32fe80409dcdcf63e3df60a6c6a01d3",
+        "masks/ood-0001.npy":
+            "1abd74b5caa0d47231c2ca43728126ae446dd25f5b67cc0b85f5d437ae4bc96b",
+    },
+    "ladder": {
+        "manifest_step00.csv":
+            "bc69f0d5f166abe966b248b636aeeb8525576ffa5105729a7cbbf1dad44db8c2",
+        "manifest_step01.csv":
+            "0848ee6d080f450bd003b136dba8560dcfa00c4ca2b72b662bdbd005404f6128",
+        "manifest_step02.csv":
+            "16ce74eff16c011bbf41782386af0e5582f77847d4c80b0e589fd7743d912a6b",
+        "step00/maps/iid-0000.npy":
+            "c3db1d680b02040453071a9fc89fd36730d96cbb1b9d05635a446ea09797cc58",
+        "step00/maps/iid-0001.npy":
+            "f3a81779aa07b36e8dde22ea154ef510f6415624a8cd473542b110ebc09abbc3",
+        "step00/maps/ood-0000.npy":
+            "eb4788be074025b60fac505397f13f444bf6856b76af77ac6b5de9b8dd07e8fb",
+        "step00/maps/ood-0001.npy":
+            "e0152372185af7ee7e09d6c4be7f71a3a9b0bea0dc471c0ac5cafa03afbff3a9",
+        "step00/masks/iid-0000.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step00/masks/iid-0001.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step00/masks/ood-0000.npy":
+            "8fe26f17a4ad40420f59a25bb7030b70ad3af4348215a2f560e18dd8f4c466f2",
+        "step00/masks/ood-0001.npy":
+            "dce0b3087690c6be596f5436facdf5fe58ef5fa8b7c37bd18be6c45e78eb13de",
+        "step01/maps/iid-0000.npy":
+            "c3db1d680b02040453071a9fc89fd36730d96cbb1b9d05635a446ea09797cc58",
+        "step01/maps/iid-0001.npy":
+            "f3a81779aa07b36e8dde22ea154ef510f6415624a8cd473542b110ebc09abbc3",
+        "step01/maps/ood-0000.npy":
+            "f150eea40a7e1b060e9070e717c3c5b2d004618087af2d470aa02aae5726f4c8",
+        "step01/maps/ood-0001.npy":
+            "5f8955ebb01362817b26de9c106a053c8ac060f0fac5d3357d93807cfa54dfc0",
+        "step01/masks/iid-0000.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step01/masks/iid-0001.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step01/masks/ood-0000.npy":
+            "8fe26f17a4ad40420f59a25bb7030b70ad3af4348215a2f560e18dd8f4c466f2",
+        "step01/masks/ood-0001.npy":
+            "dce0b3087690c6be596f5436facdf5fe58ef5fa8b7c37bd18be6c45e78eb13de",
+        "step02/maps/iid-0000.npy":
+            "c3db1d680b02040453071a9fc89fd36730d96cbb1b9d05635a446ea09797cc58",
+        "step02/maps/iid-0001.npy":
+            "f3a81779aa07b36e8dde22ea154ef510f6415624a8cd473542b110ebc09abbc3",
+        "step02/maps/ood-0000.npy":
+            "106a31a40220b779044360ec22f931e0c2bca08930b7e7d58ec0f4f809f4aaf1",
+        "step02/maps/ood-0001.npy":
+            "4dd5bccd9e7c52c0df1b0d2175f26df28cdc4b8826cfaa9372a3b20be0c050e6",
+        "step02/masks/iid-0000.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step02/masks/iid-0001.npy":
+            "1f5ab20887ec184af662a1af8aaf1501228df09092abdc23a9fc43b21ecd5040",
+        "step02/masks/ood-0000.npy":
+            "f9c8f4f54c88ee6c22cd9df00a9c6b71cb0b9bcce8cba0e9e34e908640c2c93b",
+        "step02/masks/ood-0001.npy":
+            "fffeaf69d153fd540fc5d4c2767e20aa1db743e6be44c893742692f9a14ddfdb",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_SYNTH_SPECS))
+def test_synth_file_bytes(tmp_path, name):
+    (tmp_path / "spec.json").write_text(json.dumps(_SYNTH_SPECS[name]))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out-dir", str(data)]) == 0
+    digests = {path.relative_to(data).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(data.rglob("*")) if path.is_file()}
+    assert digests == _SYNTH_SHA256[name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "spec.json"]

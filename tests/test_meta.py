@@ -527,6 +527,28 @@ def test_model_table_names_every_field_once_in_file_order():
     assert list(doc) == ["version", "feature_spec", *keys]
 
 
+@pytest.mark.parametrize("edit, words", [
+    ({"epsilon": 0.7}, "epsilon must lie in (0, 0.5), got 0.7"),
+    ({"feat_std": np.zeros(2)}, "GmmModel field 'feat_std' must be positive"),
+    ({"feat_std": np.array([0.25, math.nan])}, "GmmModel field 'feat_std' must be positive"),
+    ({"weights": np.array([0.0])},
+     "GmmModel field 'weights' must be non-negative with a positive entry"),
+    ({"n_train": 1}, "GmmModel field 'n_train' must be at least 2, got 1"),
+    ({"means": np.zeros((1, 3))},
+     "GmmModel field 'means' has shape (1, 3), not (1, 2) (K = 1, d = 2)"),
+    ({"feature_spec": FeatureSetSpec(["avg", "mor", "eds"])},
+     "GmmModel field 'feat_mean' has shape (2,), not (3,) (K = 1, d = 3)"),
+], ids=["epsilon-0.7", "feat-std-zeros", "feat-std-nan", "weights-zero",
+        "n-train-1", "means-wide", "three-strategies"])
+def test_model_built_in_python_keeps_the_model_file_rules(edit, words):
+    # without these rules, epsilon 0.7 scores [0.5, 0.5] at 1.8421 and a zero
+    # feat_std scores it NaN
+    model = _small_model()
+    assert model.k == 1
+    with pytest.raises(InvalidParam, match=f"^{re.escape(words)}$"):
+        dataclasses.replace(model, **edit)
+
+
 def test_model_json_names_its_first_bad_field_in_file_order():
     doc = json.loads(model_to_json(_small_model()))
     doc["K"] = "two"

@@ -1,7 +1,6 @@
 """Every fenced Python block of README.md runs as written, every uqagg
 command of its sh blocks parses, and its JSON spec example is a valid spec."""
 
-import json
 import re
 import shlex
 from pathlib import Path
@@ -62,13 +61,15 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: uqagg {shlex.join(argv)}")
 
 
-def test_readme_spec_example_is_a_valid_spec():
+def test_readme_spec_example_is_a_valid_spec(tmp_path):
     from uqagg import cli
 
     blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"),
                         flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1, "README.md should hold one ```json spec example"
-    doc = cli._spec_document(json.loads(blocks[0]), cli._SPEC_KEYS, "README spec")
-    benches = cli._benchmark_from_spec(doc)
+    (tmp_path / "spec.json").write_text(blocks[0])
+    assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"),
+                     "--out-dir", str(tmp_path / "data")]) == 0
     # five ladder steps of 50 + 50 samples
-    assert [len(b.samples) for b in benches] == [100] * 5
+    manifests = sorted((tmp_path / "data").glob("manifest_step*.csv"))
+    assert [len(m.read_text().splitlines()) - 1 for m in manifests] == [100] * 5
