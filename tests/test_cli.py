@@ -987,7 +987,7 @@ def test_failing_spec_leaves_an_earlier_dataset_as_it_was(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in kilobytes on Linux only")
 def test_synth_memory_does_not_grow_with_the_dataset(tmp_path):
-    """synth holds one sample at a time: 300 masked maps of 128x128 (75 MB of
+    """synth holds one sample at a time: 300 masked maps of 128x128 (79 MB of
     files) stay under 80 MB of peak resident memory."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "uqagg.cli", "synth", "--n-iid", "150", "--n-ood", "150",
