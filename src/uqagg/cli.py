@@ -652,6 +652,7 @@ def _cmd_synth(args) -> int:
                 io.write_npy(os.path.join(root, rel_mask), sample.mask.labels)
             rows[t].append(io.ManifestRow(sample.sample_id, rel_map, rel_mask,
                                           sample.ood_label, sample.risk))
+            del sample  # so the next sample is drawn with this one freed
         for name, step_rows in zip(manifests, rows):
             io.write_manifest(os.path.join(root, name), step_rows)
         os.makedirs(os.path.dirname(os.path.abspath(args.out_dir)), exist_ok=True)

@@ -161,23 +161,47 @@ def as_mask(raw, *, owned: bool = False) -> SegmentationMask:
     return SegmentationMask(raw, owned)
 
 
+def _sorted_flat(vals: np.ndarray) -> np.ndarray:
+    return np.sort(vals, axis=None)
+
+
+def _column_running_sums(vals: np.ndarray) -> np.ndarray:
+    # Taken over row strips that stay in cache, each strip's sums carrying on
+    # from the last row of the strip above, so every sum is the one a single
+    # pass down the column gives.
+    csum = np.empty_like(vals)
+    for r0, r1 in _row_strips(*vals.shape):
+        if r0 == 0:
+            np.cumsum(vals[:r1], axis=0, out=csum[:r1])
+        else:
+            csum[r0:r1] = vals[r0:r1]
+            np.cumsum(csum[r0 - 1 : r1], axis=0, out=csum[r0 - 1 : r1])
+    return csum
+
+
+def _edge_pad2(vals: np.ndarray) -> np.ndarray:
+    return np.pad(vals, 2, mode="edge")
+
+
 class MapPass:
     """One map's scoring pass: the validated map, its mask (unchecked until a
     strategy reads it) and the intermediates that several strategies share.
 
     Each intermediate is built on first use and lives only as long as the
-    pass, so score a map through one pass and then drop it. A pass belongs to
-    one thread and takes no lock.
+    pass, so score a map through one pass and then drop it. Of the three
+    map-sized ones (the sort, the column sums and the pad) the pass keeps
+    one at a time: building one drops the one it holds. A strategy list
+    that keeps each family together, as ``FULL_SET`` does, builds each once;
+    one that interleaves them builds one again, with the same bits. A pass
+    belongs to one thread and takes no lock.
     """
 
-    __slots__ = ("map", "mask", "_total", "_sorted", "_column_sums", "_tally",
-                 "_padded")
+    __slots__ = ("map", "mask", "_total", "_tally", "_kept", "_kept_by")
 
     def __init__(self, u, mask=None):
         self.map = validate_map(u)
         self.mask = mask
-        self._total = self._sorted = self._column_sums = None
-        self._tally = self._padded = None
+        self._total = self._tally = self._kept = self._kept_by = None
 
     @property
     def values(self) -> np.ndarray:
@@ -189,30 +213,22 @@ class MapPass:
             self._total = float(self.map.values.sum())
         return self._total
 
+    def _map_sized(self, build) -> np.ndarray:
+        """``build(values)``, frozen; kept until another map-sized
+        intermediate is built, and dropped before that one is."""
+        if self._kept_by is not build:
+            self._kept = self._kept_by = None
+            self._kept = _frozen(build(self.map.values))
+            self._kept_by = build
+        return self._kept
+
     def sorted_values(self) -> np.ndarray:
         """Every map value in ascending order, flat."""
-        if self._sorted is None:
-            self._sorted = _frozen(np.sort(self.map.values, axis=None))
-        return self._sorted
+        return self._map_sized(_sorted_flat)
 
     def column_sums(self) -> np.ndarray:
-        """Running sums down each column of the map.
-
-        Taken over row strips that stay in cache, each strip's sums carrying
-        on from the last row of the strip above, so every sum is the one a
-        single pass down the column gives.
-        """
-        if self._column_sums is None:
-            vals = self.map.values
-            csum = np.empty_like(vals)
-            for r0, r1 in _row_strips(*vals.shape):
-                if r0 == 0:
-                    np.cumsum(vals[:r1], axis=0, out=csum[:r1])
-                else:
-                    csum[r0:r1] = vals[r0:r1]
-                    np.cumsum(csum[r0 - 1 : r1], axis=0, out=csum[r0 - 1 : r1])
-            self._column_sums = _frozen(csum)
-        return self._column_sums
+        """Running sums down each column of the map."""
+        return self._map_sized(_column_running_sums)
 
     def class_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Map-value sums and pixel counts per mask label, background (0) first.
@@ -243,9 +259,7 @@ class MapPass:
 
         Its inner view ``padded()[1:-1, 1:-1]`` holds the one-pixel pad.
         """
-        if self._padded is None:
-            self._padded = _frozen(np.pad(self.map.values, 2, mode="edge"))
-        return self._padded
+        return self._map_sized(_edge_pad2)
 
 
 def as_pass(u, mask=None) -> MapPass:

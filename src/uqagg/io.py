@@ -58,18 +58,19 @@ def write_npy(path, grid) -> None:
     """Write a 2-D array as NPY version 1.0.
 
     Floating grids are stored as '<f8', integer (or boolean) grids as '<i8'.
+    A C-ordered grid of that dtype is written from its own buffer; any other
+    grid is first converted into a C-ordered copy.
     """
     arr = np.asarray(grid)
     if arr.ndim != 2:
         raise NonTwoDimensional(f"can only write 2-D grids, got ndim={arr.ndim}")
     if np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype("<f8")
         descr = "<f8"
     elif np.issubdtype(arr.dtype, np.integer) or arr.dtype == np.bool_:
-        arr = arr.astype("<i8")
         descr = "<i8"
     else:
         raise UnsupportedDtype(f"cannot write dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=descr)
     header = (
         f"{{'descr': '{descr}', 'fortran_order': False, "
         f"'shape': ({arr.shape[0]}, {arr.shape[1]}), }}"
@@ -84,7 +85,7 @@ def write_npy(path, grid) -> None:
         fh.write(bytes((1, 0)))
         fh.write(struct.pack("<H", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(arr.data)
 
 
 def read_npy(path) -> np.ndarray:

@@ -17,8 +17,12 @@ so scores can be tracked sample-by-sample across steps.
 
 Every sample is drawn from its own random stream, so samples can be drawn
 one at a time: ``gen_benchmark`` collects them into memory, and
-``uqagg synth`` writes each one before it draws the next, holding one
-sample (one map per ladder step) whatever the population sizes.
+``uqagg synth`` writes each one before it draws the next, whatever the
+population sizes. Each map-sized array is made once: a map or mask is
+rendered into a fresh array that the grid takes over without a copy, a
+blend is summed and clipped in place, and a sample's arrays are freed
+before the next sample is drawn. A perturbed sample holds its base, its
+pattern, their two masks and one blended map at a time.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def _shape(spec: SynthSpec) -> np.ndarray | None:
         )
     if spec.pattern == "checkerboard":
         period = int(spec.param("period"))
-        rr, cc = np.indices((m, n))
+        rr, cc = np.ogrid[:m, :n]
         return (rr // period + cc // period) % 2 == 0
     return None
 
@@ -173,12 +177,13 @@ def _render(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         vals = np.full(spec.size, spec.param(off))
     else:
         vals = np.where(_shape(spec), spec.param(on), spec.param(off))
-    return np.clip(vals.astype(np.float64), 0.0, 1.0)
+    # each branch gives a fresh float64 grid, so it is clipped in place
+    return np.clip(vals, 0.0, 1.0, out=vals)
 
 
 def generate(spec: SynthSpec) -> UncertaintyMap:
     """Render the spec deterministically (same spec, same map)."""
-    return UncertaintyMap(_render(spec, stream(spec.seed)))
+    return UncertaintyMap(_render(spec, stream(spec.seed)), True)
 
 
 def pattern_mask(spec: SynthSpec) -> SegmentationMask:
@@ -192,7 +197,7 @@ def pattern_mask(spec: SynthSpec) -> SegmentationMask:
     if fg is None:
         m, n = spec.size
         fg = _disk(spec.size, (m - 1) / 2.0, (n - 1) / 2.0, min(m, n) / 4.0)
-    return SegmentationMask(fg.astype(np.int64))
+    return SegmentationMask(fg.astype(np.int64), True)
 
 
 def expected_mean(spec: SynthSpec) -> float:
@@ -335,15 +340,19 @@ def _samples(n_iid, n_ood, iid_spec, ood_spec, *, perturb_ladder, seed, match_me
                          "risk_noise")
         return float(np.clip(level + noise, 0.0, 1.0))
 
+    # The suspended generator holds only what its locals name, so each
+    # sample's arrays are unbound once yielded: a consumer that drops a
+    # sample before asking for the next frees it before the next is drawn.
     def draw():
         for j in range(n_iid):
             rng = stream(seed, _LANE_IID, j)
             spec_j = _jittered(iid_spec, rng)
-            map_j = UncertaintyMap(_render(spec_j, rng))
-            mask_j = pattern_mask(spec_j) if with_masks else None
-            sample = BenchmarkSample(f"iid-{j:0{width}d}", map_j, mask_j, 0, risk(j, 0.0))
+            sample = BenchmarkSample(
+                f"iid-{j:0{width}d}", UncertaintyMap(_render(spec_j, rng), True),
+                pattern_mask(spec_j) if with_masks else None, 0, risk(j, 0.0))
             for t in range(len(steps)):
                 yield t, sample
+            del sample
 
         for j in range(n_ood):
             base_rng = stream(seed, _LANE_OOD_BASE, j)
@@ -358,11 +367,16 @@ def _samples(n_iid, n_ood, iid_spec, ood_spec, *, perturb_ladder, seed, match_me
             else:
                 masks_j = (None, None)
             for t, intensity in enumerate(steps):
-                mask_j = masks_j[1] if intensity > 0.5 else masks_j[0]
-                vals = np.clip((1.0 - intensity) * base + intensity * pattern, 0.0, 1.0)
+                # (1 - i) * base + i * pattern, summed into the first product
+                vals = (1.0 - intensity) * base
+                vals += intensity * pattern
                 yield t, BenchmarkSample(
-                    f"ood-{j:0{width}d}", UncertaintyMap(vals), mask_j, 1,
+                    f"ood-{j:0{width}d}",
+                    UncertaintyMap(np.clip(vals, 0.0, 1.0, out=vals), True),
+                    masks_j[1] if intensity > 0.5 else masks_j[0], 1,
                     risk(((t + 1) << 24) | j, risk_slope * intensity),
                 )
+                del vals
+            del base, pattern, masks_j
 
     return steps, draw()

@@ -101,6 +101,27 @@ def test_write_npy_preserves_exact_bits(tmp_path):
     assert back.tobytes() == vals.tobytes()
 
 
+@pytest.mark.parametrize("make", [
+    np.asfortranarray,
+    lambda a: a.astype(">f8"),
+    lambda a: a.astype(np.float32),
+], ids=["fortran", "big-endian", "float32"])
+def test_write_npy_converts_only_what_it_must(tmp_path, make):
+    # any grid goes through a C-ordered '<f8' copy, and the file cannot tell;
+    # a grid that already is one is written from its own buffer
+    grid = make(np.random.default_rng(5).random((48, 80)))
+    copy = np.ascontiguousarray(grid, dtype="<f8")
+    write_npy(tmp_path / "given.npy", grid)
+    tracemalloc.start()
+    try:
+        write_npy(tmp_path / "copy.npy", copy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "given.npy").read_bytes() == (tmp_path / "copy.npy").read_bytes()
+    assert peak < copy.nbytes / 4
+
+
 # ---------------------------------------------------------------------------
 # NPY reader
 

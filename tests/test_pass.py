@@ -81,14 +81,39 @@ def _map_and_mask():
     return vals, SegmentationMask(labels)
 
 
-@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+# Each family sits together in FULL_SET; the interleaved order builds the
+# column sums three times, the sort twice and the pad three times.
+_INTERLEAVED = "plm:10,aqa:0.9,mor,plm:20,qfr,aqa:0.6,eds,plm:50,ent"
+_ORDERS = {"forward": FULL_SET, "reverse": FULL_SET[::-1], "interleaved": _INTERLEAVED}
+
+
+@pytest.mark.parametrize("order", _ORDERS)
 def test_one_pass_scores_equal_fresh_calls(order):
     vals, mask = _map_and_mask()
-    bank = parse_strategy_list(FULL_SET)[::order]
+    bank = parse_strategy_list(_ORDERS[order])
     p = MapPass(vals, mask)
-    shared = [strat(p) for strat in bank]
-    fresh = [strat(vals.copy(), mask) for strat in bank]
-    assert shared == fresh
+    shared = np.array([strat(p) for strat in bank])
+    fresh = np.array([strat(vals.copy(), mask) for strat in bank])
+    assert shared.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("order, built", [
+    ("forward", ["column sums", "sort", "pad"]),
+    ("interleaved", ["column sums", "sort", "pad"] * 2 + ["column sums", "pad"]),
+], ids=["forward", "interleaved"])
+def test_pass_keeps_one_map_sized_intermediate(order, built, monkeypatch):
+    builds = []
+    for name, what in (("_sorted_flat", "sort"), ("_column_running_sums", "column sums"),
+                       ("_edge_pad2", "pad")):
+        def counted(vals, build=getattr(core, name), what=what):
+            builds.append(what)
+            return build(vals)
+        monkeypatch.setattr(core, name, counted)
+    vals, mask = _map_and_mask()
+    p = MapPass(vals, mask)
+    score_map(p, parse_strategy_list(_ORDERS[order]))
+    p.padded()  # the last one built is still kept
+    assert builds == built
 
 
 def test_intermediates_are_built_once_and_read_only():
@@ -143,10 +168,12 @@ def test_scoring_pass_peaks_at_few_map_sized_blocks(monkeypatch):
     # Handed over as aggregate hands over what io.read_npy reads, a 256x256
     # map and its int64 mask are kept without a copy. Over 8-row strips the
     # kernels' strip temporaries are small, so the peak counts map-sized
-    # blocks: the sort, the column sums, the two-ring pad (1.03), a spatial
-    # weight map that the mass ratio multiplies by the map in place, and
-    # about 0.4 of Moran's strip temporaries; 4.43 measured. One more
-    # map-sized copy or product array takes it to 5.43.
+    # blocks. The pass keeps one of the sort, the column sums and the
+    # two-ring pad at a time, so the peak comes in the spatial kernels: the
+    # pad (1.03), a weight map that the mass ratio multiplies by the map in
+    # place, and about 0.4 of Moran's strip temporaries; 2.43 measured. A
+    # second kept intermediate, or one more map-sized copy or product array,
+    # takes it to 3.43.
     rng = np.random.default_rng(3)
     vals = np.clip(rng.normal(0.4, 0.15, (256, 256)), 0.0, 1.0)
     vals[60:160, 50:150] = rng.uniform(0.7, 1.0, (100, 100))
@@ -161,4 +188,4 @@ def test_scoring_pass_peaks_at_few_map_sized_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert p.values is vals and p.mask.labels is labels
-    assert peak <= 5.0 * vals.nbytes
+    assert peak <= 3.0 * vals.nbytes
